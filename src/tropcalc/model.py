@@ -5,6 +5,11 @@ coKleisli category of the finite-multiset comonad: a sparse matrix indexed
 by (multiset over X, point of Y) whose entries are tropical series in the
 symbolic weight parameters.  Absent entries are the constant-INF series.
 
+Composition and application both go through the promotion t^!: its entry
+at (rho, abag) is the least cost of splitting rho into one part per point
+of abag, each part sent onto its point.  `TropMatrix.promoted` memoizes it
+and `promotion_sum` combines it with the head matrix.
+
 Point representation (plain hashable tuples):
   ground point           "*"
   natural number         int
@@ -232,6 +237,7 @@ class TropMatrix:
         self.cod = cod
         self._fn = entry_fn
         self._cache: Dict[tuple, TropSeries] = {}
+        self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
         self.name = name
 
@@ -245,13 +251,40 @@ class TropMatrix:
 
     def finite_points(self, bag: tuple) -> list:
         """Codomain points with a non-INF entry at this bag."""
-        if bag not in self._support:
-            self._support[bag] = [
-                (b, s)
-                for b in self.cod.points()
-                if not (s := self.entry(bag, b)).is_empty
-            ]
-        return self._support[bag]
+        got = self._support.get(bag)
+        if got is None:
+            # a plain loop, not a comprehension: every fixpoint level
+            # demands through here, and a comprehension is one more frame
+            got = []
+            for b in self.cod.points():
+                s = self.entry(bag, b)
+                if not s.is_empty:
+                    got.append((b, s))
+            self._support[bag] = got
+        return got
+
+    def promoted(self, rho: tuple, abag: tuple) -> TropSeries:
+        """Promotion t^!: the least cost of splitting rho into one part per
+        point of abag, each part sent onto its point (0 when both are
+        empty).  A DP over abag's points, memoized next to the entries."""
+        if not abag:
+            return EMPTY_SERIES if rho else ZERO_SERIES
+        if len(abag) == 1:
+            return self.entry(rho, abag[0])
+        key = (rho, abag)
+        got = self._promoted.get(key)
+        if got is None:
+            got = EMPTY_SERIES
+            a, tail = abag[0], abag[1:]
+            for part, rest in sub_bags(rho):
+                first = self.entry(part, a)
+                if first.is_empty:
+                    continue
+                others = self.promoted(rest, tail)
+                if not others.is_empty:
+                    got = got.tmin(first.tmul(others))
+            self._promoted[key] = got
+        return got
 
     def stored_entries(self):
         return [
@@ -288,42 +321,46 @@ def weight_series(w: T.Weight) -> TropSeries:
     return TropSeries.constant(w)
 
 
+def promotion_sum(
+    head: Callable[[tuple], TropSeries],
+    t: TropMatrix,
+    rho: tuple,
+    k: int,
+    best: TropSeries = EMPTY_SERIES,
+) -> TropSeries:
+    """coKleisli composition through promotion: best min-combined with
+    head(abag) + t^!(rho, abag) over bags abag of at most k points.  Only
+    points that t reaches from some part of rho can occur in abag, and an
+    empty head skips the promotion."""
+    reach = set()
+    for part, _ in sub_bags(rho):
+        for a, _ in t.finite_points(part):
+            reach.add(a)
+    pts = sorted(reach)
+    # the empty bag promotes only the empty rho
+    for size in range(1 if rho else 0, k + 1):
+        for abag in itertools.combinations_with_replacement(pts, size):
+            h = head(abag)
+            if h.is_empty:
+                continue
+            promo = t.promoted(rho, abag)
+            if not promo.is_empty:
+                best = best.tmin(h.tmul(promo))
+    return best
+
+
 def kleisli_compose(s: TropMatrix, t: TropMatrix, caps: Caps = DEFAULT_CAPS) -> TropMatrix:
-    """(s o_! t)_{mu,c} = inf over bags [b_1..b_k] and splits mu = sum mu_i
-    of s_{[b_1..b_k],c} + sum_i t_{mu_i,b_i}."""
+    """(s o_! t)_{mu,c} = inf over bags rho of s_{rho,c} + t^!_{mu,rho}."""
     if t.cod != s.dom:
         raise ShapeMismatch(f"cannot compose {s.dom!r} after {t.cod!r}")
 
     def fn(mu, c):
-        best = EMPTY_SERIES
-        for k in range(caps.k_max + 1):
-            for parts in bag_splits(mu, k):
-                for picks in itertools.product(
-                    *(t.finite_points(p) for p in parts)
-                ):
-                    rho = tuple(sorted(b for b, _ in picks))
-                    head = s.entry(rho, c)
-                    if head.is_empty:
-                        continue
-                    acc = head
-                    for _, series in picks:
-                        acc = acc.tmul(series)
-                    best = best.tmin(acc)
-        return best
+        return promotion_sum(lambda rho: s.entry(rho, c), t, mu, caps.k_max)
 
     return TropMatrix(t.dom, s.cod, fn, f"({s.name} . {t.name})")
 
 
 # ------------------------------------------------------------ CCC combinators
-
-
-def proj(x: SumSet, i: int) -> TropMatrix:
-    """coKleisli projection: dereliction on the i-th component."""
-
-    def fn(bag, b):
-        return ZERO_SERIES if bag == (("@", i, b),) else EMPTY_SERIES
-
-    return TropMatrix(x, x.components[i], fn, f"proj{i}")
 
 
 def pairing(f: TropMatrix, g: TropMatrix) -> TropMatrix:
@@ -357,12 +394,12 @@ def ev(a: SemSet, b: SemSet, k: int) -> TropMatrix:
     return TropMatrix(dom, b, fn, "ev")
 
 
-def curry(f: TropMatrix, k: Optional[int] = None) -> TropMatrix:
+def curry(f: TropMatrix, k: int) -> TropMatrix:
     """Rebracket !(X+A) -> B into !X -> (A => B)."""
     if not isinstance(f.dom, SumSet) or len(f.dom.components) != 2:
         raise ShapeMismatch("curry needs a two-component domain")
     x, a = f.dom.components
-    cod = ArrowSet(a, f.cod, DEFAULT_CAPS.k_max if k is None else k)
+    cod = ArrowSet(a, f.cod, k)
 
     def fn(bag, pt):
         tag, abag, b = pt
@@ -408,28 +445,15 @@ def diff_op(t: TropMatrix) -> TropMatrix:
 
 
 def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int, name="app") -> TropMatrix:
-    """Context-sharing application: fm : !G -> (A => B), fa : !G -> A."""
+    """Context-sharing application: fm : !G -> (A => B), fa : !G -> A;
+    (fm fa)_{mu0+mu1,b} = inf over abag of fm_{mu0,<abag,b>} + fa^!_{mu1,abag}."""
     if not isinstance(fm.cod, ArrowSet):
         raise ShapeMismatch(f"applying a non-arrow matrix {fm.cod!r}")
 
     def fn(mu, b):
         best = EMPTY_SERIES
         for mu0, rest in sub_bags(mu):
-            for k in range(arrow_cap + 1):
-                if k == 0 and rest:
-                    continue
-                for parts in bag_splits(rest, k):
-                    for picks in itertools.product(
-                        *(fa.finite_points(p) for p in parts)
-                    ):
-                        abag = tuple(sorted(a for a, _ in picks))
-                        head = fm.entry(mu0, ("=>", abag, b))
-                        if head.is_empty:
-                            continue
-                        acc = head
-                        for _, series in picks:
-                            acc = acc.tmul(series)
-                        best = best.tmin(acc)
+            best = promotion_sum(lambda abag: fm.entry(mu0, ("=>", abag, b)), fa, rest, arrow_cap, best)
         return best
 
     return TropMatrix(fm.dom, fm.cod.cod, fn, name)

@@ -232,24 +232,22 @@ def mle(
     """Most likely bias: minimize the series along the one-parameter curve
     alpha = -log p, beta = -log(1-p) over p in (0,1).
 
-    The first variable (sorted order) reads as -log p, the second as
-    -log(1-p).  A uniform grid pass locates the best cell, golden-section
-    refines it to 1e-6.  Returns the argmin and the monomial attaining the
-    min there (None for the empty series).
+    A primed variable (p', the right weight of M (+p) N) reads as
+    -log(1-p) and an unprimed one as -log p.  When no variable is primed,
+    the first in sorted order reads as -log p and the second as -log(1-p).
+    A uniform grid pass locates the best cell, golden-section refines it
+    to 1e-6.  Returns the argmin and the monomial attaining the min there
+    (None for the empty series).
     """
     if series.is_empty:
         return float("nan"), None
     vars_ = sorted(series.vars)
     if len(vars_) > 2:
         raise ValueError(f"need at most two variables, got {vars_}")
+    right = [v for v in vars_ if v.endswith("'")] or vars_[1:]
 
     def point(p: float) -> Dict[str, float]:
-        out = {}
-        if len(vars_) >= 1:
-            out[vars_[0]] = -math.log(p)
-        if len(vars_) == 2:
-            out[vars_[1]] = -math.log(1.0 - p)
-        return out
+        return {v: -math.log(1.0 - p) if v in right else -math.log(p) for v in vars_}
 
     def obj(p: float) -> float:
         v = series.eval(point(p))

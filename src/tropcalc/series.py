@@ -341,22 +341,6 @@ class TropSeries:
 # free functions mirroring the scalar API
 
 
-def series_min(f: TropSeries, g: TropSeries) -> TropSeries:
-    return f.tmin(g)
-
-
-def series_mul(f: TropSeries, g: TropSeries) -> TropSeries:
-    return f.tmul(g)
-
-
-def series_shift(f: TropSeries, c: Trop) -> TropSeries:
-    return f.shift(c)
-
-
-def series_eval(f: TropSeries, point: Mapping[str, Trop]) -> Trop:
-    return f.eval(point)
-
-
 def epsilon_support(f: TropSeries, eps: Trop) -> set:
     return f.epsilon_support(eps)
 

@@ -18,7 +18,6 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import terms as T
 from .model import (
-    ArrowSet,
     Caps,
     DEFAULT_CAPS,
     EMPTY_SERIES,
@@ -163,16 +162,6 @@ def taylor_term(t: TropMatrix, s: TropMatrix, n: int) -> TropMatrix:
         return f.entry(tag_bag(0, bag), y)
 
     return TropMatrix(t.dom, f.cod, fn, f"taylor{n}({t.name})")
-
-
-def ev_pair(f: TropMatrix, g: TropMatrix, caps: Caps = DEFAULT_CAPS) -> TropMatrix:
-    """Direct application: (ev . <f,g>)_{chi,y} = inf over argument lists of
-    f_{chi', <[x_1..x_m],y>} + sum_i g_{chi_i,x_i}."""
-    if not isinstance(f.cod, ArrowSet):
-        raise ValueError("ev_pair needs an arrow-valued first component")
-    from .model import _apply
-
-    return _apply(f, g, f.cod.k, name="ev_pair")
 
 
 def taylor_sum(t: TropMatrix, s: TropMatrix, n_cap: int) -> TropMatrix:

@@ -10,7 +10,6 @@ Dialects:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -768,52 +767,3 @@ def _map_children(t: Term, f) -> Term:
     if isinstance(t, Fix):
         return Fix(f(t.body))
     return t
-
-
-# ------------------------------------------------------------- serialization
-
-
-def term_to_json_dict(t: Term) -> dict:
-    if isinstance(t, Var):
-        return {"var": t.name}
-    if isinstance(t, Lam):
-        return {
-            "lam": t.var,
-            "ann": str(t.ann) if t.ann is not None else None,
-            "body": term_to_json_dict(t.body),
-        }
-    if isinstance(t, App):
-        return {"app": [term_to_json_dict(t.fn), term_to_json_dict(t.arg)]}
-    if isinstance(t, DApp):
-        return {"dapp": [term_to_json_dict(t.fn), term_to_json_dict(t.arg)]}
-    if isinstance(t, ZeroTerm):
-        return {"zero": True}
-    if isinstance(t, Sum):
-        return {"sum": [term_to_json_dict(s) for s in t.terms]}
-    if isinstance(t, Scalar):
-        return {"scalar": fmt_weight(t.weight), "body": term_to_json_dict(t.body)}
-    if isinstance(t, Choice):
-        return {
-            "choice": t.label,
-            "left": term_to_json_dict(t.left),
-            "right": term_to_json_dict(t.right),
-        }
-    if isinstance(t, Numeral):
-        return {"num": t.n}
-    if isinstance(t, Succ):
-        return {"succ": term_to_json_dict(t.arg)}
-    if isinstance(t, Pred):
-        return {"pred": term_to_json_dict(t.arg)}
-    if isinstance(t, Ifz):
-        return {
-            "ifz": term_to_json_dict(t.cond),
-            "then": term_to_json_dict(t.then),
-            "else": term_to_json_dict(t.other),
-        }
-    if isinstance(t, Fix):
-        return {"fix": term_to_json_dict(t.body)}
-    raise TypeError(f"unknown term {t!r}")
-
-
-def term_to_json(t: Term) -> str:
-    return json.dumps(term_to_json_dict(t), sort_keys=True)

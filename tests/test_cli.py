@@ -130,9 +130,31 @@ def test_mle_from_term(capsys):
     assert out["p"] < 0.51
 
 
+def test_mle_primed_variable(capsys):
+    # p' is the right weight of a choice: it reads as -log(1-p) even alone
+    code, out = run(capsys, "mle", "--series", "2p'")
+    assert code == 0
+    assert out["p"] < 0.5
+    code, out = run(capsys, "mle", "--series", "2p")
+    assert code == 0
+    assert out["p"] > 0.5
+    code, out = run(capsys, "mle", "--series", "p+2p'")
+    assert code == 0
+    assert abs(out["p"] - 1 / 3) < 1e-4
+
+
 def test_adequacy(capsys):
     code, out = run(capsys, "adequacy", f"{TERMS}/loop.lam", "--target", "0",
                     "--fixmax", "4", "--depth", "12")
+    assert code == 0
+    assert out["equal"] is True
+
+
+def test_adequacy_recursion_headroom(capsys):
+    # Y unrolls fixmax lazy matrices and demand recurses through all of
+    # them; this pins the stack frames each level may cost
+    code, out = run(capsys, "adequacy", f"{TERMS}/loop.lam", "--target", "0",
+                    "--fixmax", "180")
     assert code == 0
     assert out["equal"] is True
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from tropcalc.series import MultiDegree, TropSeries
 from tropcalc.values import INF
@@ -74,6 +75,46 @@ def test_compose_example():
     st = kleisli_compose(s, t)
     assert st.entry((a, a), z).constant_value() == 2
     assert st.entry((a, a), z) == brute_compose_entry(s, t, (a, a), z, Y.points(), 4)
+
+
+def sparse_matrices(dom, cod, max_bag=3):
+    """Random sparse matrices: constant or one-parameter monomial entries."""
+    keys = [(bag, b) for bag in dom.bags(max_bag) for b in cod.points()]
+    coeffs = hst.fractions(min_value=0, max_value=5, max_denominator=4)
+    values = hst.one_of(
+        coeffs,
+        hst.builds(lambda n, c: TropSeries.monomial({"a": n}, c), hst.integers(1, 2), coeffs),
+    )
+    entries = hst.dictionaries(hst.sampled_from(keys), values, max_size=10)
+    return entries.map(lambda d: TropMatrix.from_entries(dom, cod, d))
+
+
+def brute_promoted(t, rho, abag):
+    best = TropSeries.empty()
+    for parts in bag_splits(rho, len(abag)):
+        acc = ZERO_SERIES
+        for part, a in zip(parts, abag):
+            acc = acc.tmul(t.entry(part, a))
+        best = best.tmin(acc)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(NatSet(1), NatSet(2)))
+def test_promoted_matches_split_enumeration(t):
+    assert t.promoted((), ()) == ZERO_SERIES
+    for rho in t.dom.bags(3):
+        for abag in t.cod.bags(3):
+            assert t.promoted(rho, abag) == brute_promoted(t, rho, abag), (rho, abag)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_matrices(NatSet(1), NatSet(2)), sparse_matrices(NatSet(2), NatSet(1)))
+def test_compose_matches_brute_force(t, s):
+    comp = kleisli_compose(s, t, Caps(k_max=3))
+    for mu in t.dom.bags(3):
+        for c in s.cod.points():
+            assert comp.entry(mu, c) == brute_compose_entry(s, t, mu, c, t.cod.points(), 3)
 
 
 def test_compose_identity_and_empty():

@@ -10,6 +10,7 @@ from tropcalc.values import INF, trop_dist
 from tropcalc.series import MultiDegree, TropSeries
 from tropcalc.terms import Arrow, O, parse
 from tropcalc.model import (
+    _apply,
     ArrowSet,
     Caps,
     SumSet,
@@ -31,7 +32,6 @@ from tropcalc.taylor import (
     RVar,
     elaborate,
     empirical_lipschitz,
-    ev_pair,
     interpret_resource,
     lipschitz_estimate,
     matrix_fn,
@@ -158,7 +158,7 @@ def partition_oracle(f, g, chi, y, n_cap):
 def test_taylor_equation(seed):
     caps = Caps(k_max=3)
     f, g = random_pair(seed, caps)
-    direct = ev_pair(f, g, caps)
+    direct = _apply(f, g, f.cod.k)
     approx = taylor_sum(f, g, 3)
     for chi in bags_upto([STAR], 3):
         d = direct.entry(chi, STAR)
