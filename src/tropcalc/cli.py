@@ -128,10 +128,6 @@ def emit(payload, summary: str, args) -> None:
     print(summary, file=sys.stderr)
 
 
-def fmt_series(s: TropSeries) -> dict:
-    return s.to_json_dict()
-
-
 # ------------------------------------------------------------- subcommands
 
 
@@ -164,7 +160,7 @@ def cmd_eval(args):
     v = s.eval({k: params.get(k, INF) for k in s.vars})
     emit(
         {
-            "series": fmt_series(s),
+            "series": s.to_json_dict(),
             "params": {k: fmt_trop(w) for k, w in params.items()},
             "value": fmt_trop(v),
         },
@@ -184,7 +180,7 @@ def cmd_truncate(args):
     s = series_from_args(args)
     out = s.truncate(as_trop(args.eps))
     emit(
-        {"series": fmt_series(s), "eps": args.eps, "truncated": fmt_series(out)},
+        {"series": s.to_json_dict(), "eps": args.eps, "truncated": out.to_json_dict()},
         f"{len(s.coeffs)} -> {len(out.coeffs)} monomials",
         args,
     )
@@ -212,7 +208,7 @@ def cmd_lipschitz(args):
     emp = empirical_lipschitz(s, lo, hi, args.samples, args.seed)
     emit(
         {
-            "series": fmt_series(s),
+            "series": s.to_json_dict(),
             "center": {k: fmt_trop(v) for k, v in center.items()},
             "delta": fmt_trop(delta),
             "K": fmt_trop(K),
@@ -228,10 +224,10 @@ def cmd_bestcase(args):
     s = best_case(t, args.target, args.depth)
     if args.eps:
         s = s.truncate(as_trop(args.eps))
-    payload = {"target": args.target, "depth": args.depth, "series": fmt_series(s)}
+    payload = {"target": args.target, "depth": args.depth, "series": s.to_json_dict()}
     if isinstance(t, T.Choice):
         payload["paths"] = [
-            {"omega": w, "monomial": fmt_series(path_likelihood(t, w))}
+            {"omega": w, "monomial": path_likelihood(t, w).to_json_dict()}
             for w, leaf in _choice_leaves(t)
             if leaf == T.Numeral(args.target)
         ]
@@ -244,13 +240,13 @@ def cmd_mle(args):
     else:
         t = term_from_args(args)
         s = outcome_series(t, args.target, args.depth)
-    p, active = mle(s, grid=args.grid)
+    p, active = mle(s)
     payload = {
-        "series": fmt_series(s),
-        "p": p,
+        "series": s.to_json_dict(),
+        "p": float(p),
         "active": None if active is None else {v: n for v, n in active.items()},
     }
-    emit(payload, f"p* = {p:.4f}", args)
+    emit(payload, f"p* = {float(p):.4f}", args)
 
 
 def cmd_adequacy(args):
@@ -261,8 +257,8 @@ def cmd_adequacy(args):
     emit(
         {
             "target": args.target,
-            "denotational": fmt_series(den),
-            "operational": fmt_series(oper),
+            "denotational": den.to_json_dict(),
+            "operational": oper.to_json_dict(),
             "equal": ok,
         },
         "adequate" if ok else "MISMATCH",
@@ -360,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs")
     sp.add_argument("--target", type=int, default=0)
     sp.add_argument("--depth", type=int, default=24)
-    sp.add_argument("--grid", type=int, default=1000)
 
     sp = add("adequacy", cmd_adequacy, help="denotational vs operational weight")
     term_opts(sp)

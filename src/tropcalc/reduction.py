@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from . import terms as T
 from .model import Caps, DEFAULT_CAPS, interpret, weight_series
 from .series import MultiDegree, TropSeries
-from .values import INF, Trop, is_inf
+from .values import Trop
 
 ZERO_W = TropSeries.constant(Fraction(0))
 
@@ -226,18 +226,28 @@ def adequacy_check(
 # --------------------------------------------------------------------- MLE
 
 
-def mle(
-    series: TropSeries, grid: int = 1000
-) -> Tuple[float, Optional[MultiDegree]]:
+#: where a one-sided monomial is reported: it only approaches its infimum
+#: as p -> 1 (or, mirrored, p -> 0), so p* sits just inside the interval
+EDGE_P = Fraction(1000, 1001)
+
+
+def mle(series: TropSeries) -> Tuple[Union[Fraction, float], Optional[MultiDegree]]:
     """Most likely bias: minimize the series along the one-parameter curve
     alpha = -log p, beta = -log(1-p) over p in (0,1).
 
     A primed variable (p', the right weight of M (+p) N) reads as
     -log(1-p) and an unprimed one as -log p.  When no variable is primed,
     the first in sorted order reads as -log p and the second as -log(1-p).
-    A uniform grid pass locates the best cell, golden-section refines it
-    to 1e-6.  Returns the argmin and the monomial attaining the min there
-    (None for the empty series).
+
+    The min over p of a min of monomials is the min over monomials of
+    each one's own min.  A monomial c + i(-log p) + j(-log(1-p)) with
+    i, j > 0 is least at exactly p = i/(i+j), where it is worth
+    c + i log((i+j)/i) + j log((i+j)/j).  A one-sided monomial only
+    approaches c as p -> 1 (j = 0) or p -> 0 (i = 0) and is reported at
+    EDGE_P or 1 - EDGE_P; a constant one is flat and reported at 1/2.
+    The minima are compared as floats, ties going to the first degree in
+    ``items()`` order.  Returns the exact argmin of the winning monomial
+    and that monomial ((nan, None) for the empty series).
     """
     if series.is_empty:
         return float("nan"), None
@@ -246,32 +256,15 @@ def mle(
         raise ValueError(f"need at most two variables, got {vars_}")
     right = [v for v in vars_ if v.endswith("'")] or vars_[1:]
 
-    def point(p: float) -> Dict[str, float]:
-        return {v: -math.log(1.0 - p) if v in right else -math.log(p) for v in vars_}
+    def optimum(d: MultiDegree) -> Tuple[float, Fraction]:
+        j = sum(n for v, n in d.items() if v in right)
+        i = d.total - j
+        if i and j:
+            return i * math.log((i + j) / i) + j * math.log((i + j) / j), Fraction(i, i + j)
+        return 0.0, EDGE_P if i else 1 - EDGE_P if j else Fraction(1, 2)
 
-    def obj(p: float) -> float:
-        v = series.eval(point(p))
-        return float(v) if not is_inf(v) else math.inf
-
-    lo, hi = 1.0 / (grid + 1), grid / (grid + 1.0)
-    ps = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
-    i_best = min(range(grid), key=lambda i: obj(ps[i]))
-    a = ps[max(i_best - 1, 0)]
-    b = ps[min(i_best + 1, grid - 1)]
-    # golden-section on [a, b]
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    while b - a > 1e-6:
-        if obj(c) <= obj(d):
-            b, d = d, c
-            c = b - invphi * (b - a)
-        else:
-            a, c = c, d
-            d = a + invphi * (b - a)
-    p_star = (a + b) / 2
-    x = point(p_star)
     active = min(
-        series.coeffs.items(),
-        key=lambda kv: (float(kv[1] + kv[0].dot(x)), kv[0].items()),
-    )[0]
-    return p_star, active
+        series.coeffs,
+        key=lambda d: (float(series.coeffs[d]) + optimum(d)[0], d.items()),
+    )
+    return optimum(active)[1], active

@@ -126,8 +126,9 @@ def test_mle_golden(capsys):
 def test_mle_from_term(capsys):
     code, out = run(capsys, "mle", f"{TERMS}/coin.lam", "--target", "1")
     assert code == 0
-    # False is most likely at the boundary p -> 0 along min{a+b, a+2b}
+    # False is most likely at p = 1/2 on p+p', the least of min{p+p', p+2p'}
     assert out["p"] < 0.51
+    assert out["p"] == 0.5
 
 
 def test_mle_primed_variable(capsys):
@@ -141,6 +142,7 @@ def test_mle_primed_variable(capsys):
     code, out = run(capsys, "mle", "--series", "p+2p'")
     assert code == 0
     assert abs(out["p"] - 1 / 3) < 1e-4
+    assert out["p"] == 1 / 3
 
 
 def test_adequacy(capsys):

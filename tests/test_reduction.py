@@ -1,10 +1,12 @@
 """Weighted reduction, best-case search, likelihood monomials, MLE."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from tropcalc.values import INF, is_inf
 from tropcalc.series import MultiDegree, TropSeries
@@ -227,6 +229,7 @@ def test_mle_rll_path():
     # min of 2(-log p) + (-log(1-p)): stationarity of p^2(1-p) at p = 2/3
     p, active = mle(mono({"a": 2, "b": 1}))
     assert abs(p - 2 / 3) < 1e-4
+    assert p == Fraction(2, 3)
     assert active == MultiDegree({"a": 2, "b": 1})
 
 
@@ -264,3 +267,50 @@ def test_mle_shift_invariance():
 def test_mle_empty():
     p, active = mle(TropSeries.empty())
     assert math.isnan(p) and active is None
+
+
+# brute-force oracle: the objective along p -> (-log p, -log(1-p)) over a
+# uniform grid of (0, 1), for series in {p, p'}
+MLE_GRID = [k / 2001 for k in range(1, 2001)]
+
+
+def mono_at(d, c, q):
+    return float(c) + d.get("p") * -math.log(q) + d.get("p'") * -math.log(1 - q)
+
+
+def series_at(s, q):
+    return min(mono_at(d, c, q) for d, c in s.coeffs.items())
+
+
+# constant (0, 0), one-sided (i, 0) / (0, j) and two-sided monomials
+pp_series = hst.lists(
+    hst.tuples(hst.integers(0, 4), hst.integers(0, 4), hst.fractions(0, 10)),
+    min_size=1,
+    max_size=6,
+).map(
+    lambda mons: functools.reduce(
+        TropSeries.tmin,
+        (TropSeries.monomial({"p": i, "p'": j}, c, ("p", "p'")) for i, j, c in mons),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pp_series)
+def test_mle_against_grid_oracle(s):
+    p, active = mle(s)
+    assert 0 < p < 1
+    q = float(p)
+    floor = min(series_at(s, x) for x in MLE_GRID)
+    i, j = active.get("p"), active.get("p'")
+    c = s.coeffs[active]
+    if i and j:
+        assert p == Fraction(i, i + j)
+        assert series_at(s, q) <= floor + 1e-9
+    if (i and j) or not (i or j):
+        assert mono_at(active, c, q) <= series_at(s, q) + 1e-9
+    else:
+        # a one-sided monomial only reaches its infimum c in the limit;
+        # at the edge point another monomial may lie less than
+        # (i + j) log(1001/1000) above c and so dip under it there
+        assert float(c) <= min(series_at(s, q), floor) + 1e-9
