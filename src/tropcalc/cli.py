@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -104,13 +103,7 @@ def term_from_args(args) -> T.Term:
 
 
 def caps_from_args(args) -> Caps:
-    env = parse_params(os.environ.get("TROPCALC_CAPS", ""))
-    k = args.kmax if args.kmax is not None else int(env.get("kmax", Caps.k_max))
-    n = args.nmax if args.nmax is not None else int(env.get("nmax", Caps.n_max))
-    f = args.fixmax if args.fixmax is not None else int(env.get("fixmax", Caps.f_max))
-    if min(k, n, f) < 1:
-        raise UsageError("all caps must be >= 1")
-    return Caps(k_max=k, n_max=n, f_max=f)
+    return Caps(k_max=args.kmax, n_max=args.nmax, f_max=args.fixmax)
 
 
 # ----------------------------------------------------------------- output
@@ -303,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dialect", choices=("stlc", "bstlc", "stdlc", "pcfl"), default=dialect)
 
     def caps_opts(sp):
-        sp.add_argument("--kmax", type=int, default=None)
-        sp.add_argument("--nmax", type=int, default=None)
-        sp.add_argument("--fixmax", type=int, default=None)
+        sp.add_argument("--kmax", type=int, default=Caps.k_max)
+        sp.add_argument("--nmax", type=int, default=Caps.n_max)
+        sp.add_argument("--fixmax", type=int, default=Caps.f_max)
 
     sp = add("check", cmd_check, help="parse and typecheck a term")
     term_opts(sp, "stlc")

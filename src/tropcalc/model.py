@@ -8,7 +8,8 @@ symbolic weight parameters.  Absent entries are the constant-INF series.
 Composition and application both go through the promotion t^!: its entry
 at (rho, abag) is the least cost of splitting rho into one part per point
 of abag, each part sent onto its point.  `TropMatrix.promoted` memoizes it
-and `promotion_sum` combines it with the head matrix.
+and `promotion_sum` combines it with the head matrix.  `linear_sum` is the
+same sum with a one-point abag; D[M,N], ifz and the star operator use it.
 
 Point representation (plain hashable tuples):
   ground point           "*"
@@ -73,19 +74,15 @@ def bags_upto(points: Iterable, k: int) -> List[tuple]:
 
 
 def sub_bags(bag: tuple) -> List[Tuple[tuple, tuple]]:
-    """All (sub, rest) decompositions of a bag."""
-    seen = set()
-    out = []
-    n = len(bag)
-    for r in range(n + 1):
-        for idx in itertools.combinations(range(n), r):
-            sub = tuple(bag[i] for i in idx)
-            if sub in seen:
-                continue
-            seen.add(sub)
-            restset = set(range(n)) - set(idx)
-            rest = tuple(bag[i] for i in sorted(restset))
-            out.append((sub, rest))
+    """Each distinct (sub, rest) decomposition of a sorted bag, once: a point
+    with n copies gives 0..n of them to sub.  Smaller subs come first, equal
+    sizes in sorted order: sums accumulate in this order, and it fixes the
+    order of their series' vars."""
+    out = [((), ())]
+    for p, copies in itertools.groupby(bag):
+        n = len(list(copies))
+        out = [(s + (p,) * i, r + (p,) * (n - i)) for s, r in out for i in range(n, -1, -1)]
+    out.sort(key=lambda d: len(d[0]))
     return out
 
 
@@ -349,6 +346,18 @@ def promotion_sum(
     return best
 
 
+def linear_sum(
+    head: Callable[[tuple, object], TropSeries], t: TropMatrix, mu: tuple
+) -> TropSeries:
+    """The promotion sum with a one-point abag: the min over mu = mu1 + mu0
+    and points a that t reaches from mu1 of t_{mu1,a} + head(mu0, a)."""
+    best = EMPTY_SERIES
+    for mu1, mu0 in sub_bags(mu):
+        for a, s in t.finite_points(mu1):
+            best = best.tmin(s.tmul(head(mu0, a)))
+    return best
+
+
 def kleisli_compose(s: TropMatrix, t: TropMatrix, caps: Caps = DEFAULT_CAPS) -> TropMatrix:
     """(s o_! t)_{mu,c} = inf over bags rho of s_{rho,c} + t^!_{mu,rho}."""
     if t.cod != s.dom:
@@ -489,29 +498,8 @@ def interpret(term: T.Term, ctx=None, dialect: str = "stlc", caps: Caps = DEFAUL
     """
     ctx = ctx or []
     T_ctx = _ctx_types(ctx, dialect)
-    if dialect == "stlc":
-        T.typecheck_stlc(dict(T_ctx), term)
-    elif dialect == "bstlc":
-        T.typecheck_bstlc(ctx, term)
-    elif dialect == "stdlc":
-        T.typecheck_stdlc(dict(T_ctx), term)
-    elif dialect == "pcfl":
-        T.typecheck_pcfl(dict(T_ctx), term)
-    else:
-        raise ValueError(f"unknown dialect {dialect!r}")
+    T.typecheck(ctx if dialect == "bstlc" else dict(T_ctx), term, dialect)
     return _interp(term, T_ctx, dialect, caps)
-
-
-def _type_of(term: T.Term, ctx: list, dialect: str) -> T.Type:
-    env = dict(ctx)
-    if dialect == "bstlc":
-        ty, _ = T._infer_graded(env, term)
-        return ty
-    if dialect == "stdlc":
-        return T.typecheck_stdlc(env, term)
-    if dialect == "pcfl":
-        return T.typecheck_pcfl(env, term)
-    return T.typecheck_stlc(env, term)
 
 
 def _ctx_set(ctx: list, caps: Caps) -> SumSet:
@@ -535,8 +523,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         body = _interp(term.body, inner_ctx, dialect, caps)
         aset = sem_of_type(term.ann, caps)
         if dialect == "bstlc":
-            ty = _type_of(term, ctx, dialect)
-            cap = ty.grade
+            cap = T._infer_graded(dict(ctx), term)[0].grade
         else:
             cap = caps.k_max
         cod = ArrowSet(aset, body.cod, cap)
@@ -568,14 +555,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
             tag, rho, b = pt
             if len(rho) + 1 > cap:
                 return EMPTY_SERIES
-            best = EMPTY_SERIES
-            for mu0, mu1 in sub_bags(mu):
-                for a, series in fa.finite_points(mu1):
-                    head = fm.entry(mu0, ("=>", bag_add(rho, (a,)), b))
-                    if head.is_empty:
-                        continue
-                    best = best.tmin(head.tmul(series))
-            return best
+            return linear_sum(lambda mu0, a: fm.entry(mu0, ("=>", bag_add(rho, (a,)), b)), fa, mu)
 
         return TropMatrix(dom, fm.cod, dapp_fn, "Dapp")
 
@@ -639,19 +619,9 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         cm = _interp(term.cond, ctx, dialect, caps)
         tm = _interp(term.then, ctx, dialect, caps)
         em = _interp(term.other, ctx, dialect, caps)
-        nmax = caps.n_max
 
         def ifz_fn(mu, b):
-            best = EMPTY_SERIES
-            for mu0, mu1 in sub_bags(mu):
-                z = cm.entry(mu0, 0)
-                if not z.is_empty:
-                    best = best.tmin(z.tmul(tm.entry(mu1, b)))
-                for n in range(1, nmax + 1):
-                    nz = cm.entry(mu0, n)
-                    if not nz.is_empty:
-                        best = best.tmin(nz.tmul(em.entry(mu1, b)))
-            return best
+            return linear_sum(lambda mu0, n: (tm if n == 0 else em).entry(mu0, b), cm, mu)
 
         cod = em.cod if isinstance(term.then, T.ZeroTerm) else tm.cod
         return TropMatrix(dom, cod, ifz_fn, "ifz")

@@ -26,8 +26,8 @@ from .model import (
     ZERO_SERIES,
     bag_add,
     interpret,
+    linear_sum,
     matrix_apply,
-    sub_bags,
     tag_bag,
     uncurry,
     untag_bag,
@@ -136,17 +136,12 @@ def star(f: TropMatrix, g: TropMatrix) -> TropMatrix:
 
     def fn(bag, y):
         split = untag_bag(bag)
-        rho = split.get(0, ())
         mu = split.get(1, ())
-        best = EMPTY_SERIES
-        for rho1, rho2 in sub_bags(rho):
-            for x, series in g.finite_points(rho1):
-                inner = bag_add(tag_bag(0, rho2), tag_bag(1, bag_add(mu, (x,))))
-                head = f.entry(inner, y)
-                if head.is_empty:
-                    continue
-                best = best.tmin(head.tmul(series))
-        return best
+
+        def head(rho, x):
+            return f.entry(bag_add(tag_bag(0, rho), tag_bag(1, bag_add(mu, (x,)))), y)
+
+        return linear_sum(head, g, split.get(0, ()))
 
     return TropMatrix(f.dom, f.cod, fn, f"({f.name} * {g.name})")
 

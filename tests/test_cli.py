@@ -180,8 +180,7 @@ def test_seed_determinism(capsys):
     assert c1 == c2 == 0 and o1 == o2
 
 
-def test_caps_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TROPCALC_CAPS", "fixmax=1")
-    code, out = run(capsys, "adequacy", f"{TERMS}/loop.lam", "--target", "0")
-    assert code == 0
-    assert out["equal"] is True
+def test_zero_cap_is_user_error(capsys):
+    code = main(["interpret", f"{TERMS}/id.lam", "--kmax", "0"])
+    assert code == 1
+    assert "all caps must be >= 1" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from tropcalc.model import (
     identity,
     interpret,
     kleisli_compose,
+    linear_sum,
     matrix_apply,
     sub_bags,
     uncurry,
@@ -46,6 +47,24 @@ def test_bag_helpers():
     parts = bag_splits((1, 1, 2), 2)
     assert ((1, 1), (2,)) in parts
     assert all(bag_add(*p) == (1, 1, 2) for p in parts)
+
+
+@given(hst.lists(hst.sampled_from("abc"), max_size=7).map(lambda xs: tuple(sorted(xs))))
+def test_sub_bags_matches_index_subsets(bag):
+    import itertools
+
+    n = len(bag)
+    want = {
+        (tuple(bag[i] for i in idx), tuple(bag[i] for i in range(n) if i not in idx))
+        for r in range(n + 1)
+        for idx in itertools.combinations(range(n), r)
+    }
+    got = sub_bags(bag)
+    assert len(got) == len(set(got)) and set(got) == want
+    assert got == sorted(got, key=lambda d: (len(d[0]), d[0]))
+    for sub, rest in got:
+        assert list(sub) == sorted(sub) and list(rest) == sorted(rest)
+        assert bag_add(sub, rest) == bag
 
 
 # -------------------------------------------------------------- composition
@@ -106,6 +125,17 @@ def test_promoted_matches_split_enumeration(t):
     for rho in t.dom.bags(3):
         for abag in t.cod.bags(3):
             assert t.promoted(rho, abag) == brute_promoted(t, rho, abag), (rho, abag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(NatSet(1), NatSet(2)), sparse_matrices(NatSet(1), NatSet(2)))
+def test_linear_sum_matches_split_enumeration(t, h):
+    for mu in t.dom.bags(3):
+        want = TropSeries.empty()
+        for mu0, mu1 in bag_splits(mu, 2):
+            for a in t.cod.points():
+                want = want.tmin(h.entry(mu0, a).tmul(t.entry(mu1, a)))
+        assert linear_sum(h.entry, t, mu) == want, mu
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,6 +302,19 @@ def test_succ_pred_ifz():
     assert i.entry((), 1) == ZERO_SERIES and i.entry((), 2).is_empty
     j = interpret(parse("ifz 7 1 2", "pcfl"), [], "pcfl")
     assert j.entry((), 2) == ZERO_SERIES and j.entry((), 1).is_empty
+
+
+def test_ifz_splits_its_context():
+    # the condition and the branch each take their own part of the bag
+    m = interpret(parse("\\x:Nat. ifz x (succ x) (a . pred x)", "pcfl"), [], "pcfl")
+
+    def at(bag, b):
+        return m.entry((), ("=>", bag, b))
+
+    assert at((0, 0), 1) == ZERO_SERIES
+    for bag, b in [((1, 1), 0), ((1, 2), 0), ((1, 2), 1), ((2, 2), 1)]:
+        assert at(bag, b) == TropSeries.parameter("a"), (bag, b)
+    assert at((0,), 1).is_empty
 
 
 def test_fix_collapse():
