@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     def term_opts(sp, dialect="pcfl"):
         sp.add_argument("file", nargs="?", help=".lam term file")
         sp.add_argument("--term", help="term source text (instead of a file)")
-        sp.add_argument("--dialect", choices=("stlc", "bstlc", "stdlc", "pcfl"), default=dialect)
+        sp.add_argument("--dialect", choices=T.DIALECTS, default=dialect)
 
     def caps_opts(sp):
         sp.add_argument("--kmax", type=int, default=Caps.k_max)

@@ -8,12 +8,11 @@ at most n.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .values import INF, Trop, trop_add, trop_mul
-from .model import bag_add, bags_upto
+from .model import TropMatrix, bag_add, bags_upto
 
 ZERO = Fraction(0)
 STAR = "*"
@@ -79,22 +78,16 @@ def graded_points(pts: Iterable, n: int) -> List[tuple]:
 
 
 def bang(f: LinMatrix, n: int) -> LinMatrix:
-    """Functorial action on bags: min-cost perfect matching between bags."""
+    """Functorial action on bags: min-cost perfect matching between bags,
+    i.e. the promotion of f read as a matrix on singleton bags."""
     dom = graded_points(f.dom, n)
     cod = graded_points(f.cod, n)
-    out = {}
-    for alpha in dom:
-        for beta in cod:
-            if len(alpha) != len(beta):
-                continue
-            best: Trop = INF
-            for perm in itertools.permutations(beta):
-                cost: Trop = ZERO
-                for x, y in zip(alpha, perm):
-                    cost = trop_mul(cost, f.at(x, y))
-                best = trop_add(best, cost)
-            if best != INF:
-                out[(alpha, beta)] = best
+    single = TropMatrix.from_entries(None, None, {((x,), y): v for (x, y), v in f.entries.items()})
+    out = {
+        (alpha, beta): single.promoted(alpha, beta).constant_value()
+        for alpha in dom
+        for beta in cod
+    }
     return LinMatrix(dom, cod, out)
 
 

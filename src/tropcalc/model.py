@@ -36,10 +36,6 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class CapTooSmall(UserWarning):
-    pass
-
-
 @dataclass(frozen=True)
 class Caps:
     k_max: int = 4

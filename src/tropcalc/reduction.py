@@ -181,24 +181,7 @@ def outcome_series(term: T.Term, outcome, depth_cap: int = 24) -> TropSeries:
 
 
 def _has_fix(t: T.Term) -> bool:
-    if isinstance(t, T.Fix):
-        return True
-    kids: Tuple[T.Term, ...] = ()
-    if isinstance(t, (T.App, T.DApp)):
-        kids = (t.fn, t.arg)
-    elif isinstance(t, T.Lam):
-        kids = (t.body,)
-    elif isinstance(t, T.Sum):
-        kids = t.terms
-    elif isinstance(t, T.Scalar):
-        kids = (t.body,)
-    elif isinstance(t, T.Choice):
-        kids = (t.left, t.right)
-    elif isinstance(t, (T.Succ, T.Pred)):
-        kids = (t.arg,)
-    elif isinstance(t, T.Ifz):
-        kids = (t.cond, t.then, t.other)
-    return any(_has_fix(k) for k in kids)
+    return isinstance(t, T.Fix) or any(_has_fix(k) for k in T.children(t))
 
 
 # ---------------------------------------------------------------- adequacy

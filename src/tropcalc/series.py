@@ -207,10 +207,6 @@ class TropSeries:
                 return c
         raise ValueError("series is not constant")
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs or (len(self.coeffs) == 1 and next(iter(self.coeffs)).total == 0)
-
     def _merge_vars(self, other: "TropSeries") -> Tuple[str, ...]:
         out = list(self.vars)
         for v in other.vars:
@@ -236,8 +232,6 @@ class TropSeries:
             return TropSeries.empty(self.vars)
         return TropSeries(self.vars, [(d, trop_mul(cc, c)) for d, cc in self.coeffs.items()])
 
-    __or__ = tmin
-
     # -- evaluation -----------------------------------------------------
 
     def eval(self, point: Mapping[str, Trop]) -> Trop:
@@ -248,27 +242,6 @@ class TropSeries:
         for deg, c in self.coeffs.items():
             out = trop_add(out, trop_mul(c, deg.dot(point)))
         return out
-
-    def substitute(self, point: Mapping[str, Trop]) -> "TropSeries":
-        """Plug values in for a subset of the variables."""
-        rest = tuple(v for v in self.vars if v not in point)
-        items = []
-        for deg, c in self.coeffs.items():
-            val = c
-            newdeg = {}
-            dead = False
-            for v, n in deg.items():
-                if v in point:
-                    x = point[v]
-                    if is_inf(x):
-                        dead = True
-                        break
-                    val = trop_mul(val, n * x)
-                else:
-                    newdeg[v] = n
-            if not dead:
-                items.append((MultiDegree(newdeg), val))
-        return TropSeries(rest, items)
 
     # -- epsilon truncation (finite collapse away from 0) ----------------
 
@@ -339,10 +312,6 @@ class TropSeries:
 
 # ----------------------------------------------------------------------
 # free functions mirroring the scalar API
-
-
-def epsilon_support(f: TropSeries, eps: Trop) -> set:
-    return f.epsilon_support(eps)
 
 
 def truncate(f: TropSeries, eps: Trop) -> TropSeries:
@@ -436,8 +405,3 @@ def plot_rows(
         rows.append((x, f.eval({var: x})))
     return rows
 
-
-def plot_tsv(f: TropSeries, var: Optional[str] = None, lo=0, hi=1, steps: int = 100) -> str:
-    return "\n".join(
-        f"{fmt_trop(x)}\t{fmt_trop(v)}" for x, v in plot_rows(f, var, lo, hi, steps)
-    )

@@ -17,6 +17,8 @@ from typing import Dict, Optional, Tuple, Union
 
 from .values import as_trop, fmt_trop
 
+DIALECTS = ("stlc", "bstlc", "stdlc", "pcfl")
+
 # ---------------------------------------------------------------------- types
 
 
@@ -190,29 +192,57 @@ TRUE = Numeral(0)
 FALSE = Numeral(1)
 
 
+def children(t: Term) -> Tuple[Term, ...]:
+    """The immediate subterms, in source order."""
+    if isinstance(t, (App, DApp)):
+        return (t.fn, t.arg)
+    if isinstance(t, (Lam, Scalar, Fix)):
+        return (t.body,)
+    if isinstance(t, Sum):
+        return t.terms
+    if isinstance(t, Choice):
+        return (t.left, t.right)
+    if isinstance(t, (Succ, Pred)):
+        return (t.arg,)
+    if isinstance(t, Ifz):
+        return (t.cond, t.then, t.other)
+    return ()
+
+
+def _map_children(t: Term, f) -> Term:
+    """t with f applied to each immediate subterm, in source order."""
+    if isinstance(t, Lam):
+        return Lam(t.var, t.ann, f(t.body))
+    if isinstance(t, App):
+        return App(f(t.fn), f(t.arg))
+    if isinstance(t, DApp):
+        return DApp(f(t.fn), f(t.arg))
+    if isinstance(t, Sum):
+        return make_sum(*(f(s) for s in t.terms))
+    if isinstance(t, Scalar):
+        return Scalar(t.weight, f(t.body))
+    if isinstance(t, Choice):
+        return Choice(t.label, f(t.left), f(t.right))
+    if isinstance(t, Succ):
+        return Succ(f(t.arg))
+    if isinstance(t, Pred):
+        return Pred(f(t.arg))
+    if isinstance(t, Ifz):
+        return Ifz(f(t.cond), f(t.then), f(t.other))
+    if isinstance(t, Fix):
+        return Fix(f(t.body))
+    return t
+
+
 def free_vars(t: Term) -> set:
     if isinstance(t, Var):
         return {t.name}
+    out = set()
+    for s in children(t):
+        out |= free_vars(s)
     if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, (App, DApp)):
-        return free_vars(t.fn) | free_vars(t.arg)
-    if isinstance(t, Sum):
-        out = set()
-        for s in t.terms:
-            out |= free_vars(s)
-        return out
-    if isinstance(t, Scalar):
-        return free_vars(t.body)
-    if isinstance(t, Choice):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, (Succ, Pred)):
-        return free_vars(t.arg)
-    if isinstance(t, Ifz):
-        return free_vars(t.cond) | free_vars(t.then) | free_vars(t.other)
-    if isinstance(t, Fix):
-        return free_vars(t.body)
-    return set()
+        out.discard(t.var)
+    return out
 
 
 _fresh_counter = [0]
@@ -235,25 +265,7 @@ def subst(t: Term, x: str, v: Term) -> Term:
             body = subst(t.body, t.var, Var(y))
             return Lam(y, t.ann, subst(body, x, v))
         return Lam(t.var, t.ann, subst(t.body, x, v))
-    if isinstance(t, App):
-        return App(subst(t.fn, x, v), subst(t.arg, x, v))
-    if isinstance(t, DApp):
-        return DApp(subst(t.fn, x, v), subst(t.arg, x, v))
-    if isinstance(t, Sum):
-        return make_sum(*(subst(s, x, v) for s in t.terms))
-    if isinstance(t, Scalar):
-        return Scalar(t.weight, subst(t.body, x, v))
-    if isinstance(t, Choice):
-        return Choice(t.label, subst(t.left, x, v), subst(t.right, x, v))
-    if isinstance(t, Succ):
-        return Succ(subst(t.arg, x, v))
-    if isinstance(t, Pred):
-        return Pred(subst(t.arg, x, v))
-    if isinstance(t, Ifz):
-        return Ifz(subst(t.cond, x, v), subst(t.then, x, v), subst(t.other, x, v))
-    if isinstance(t, Fix):
-        return Fix(subst(t.body, x, v))
-    return t
+    return _map_children(t, lambda s: subst(s, x, v))
 
 
 # ---------------------------------------------------------------- pretty print
@@ -500,7 +512,7 @@ class _Parser:
 
 
 def parse(src: str, dialect: str = "stlc") -> Term:
-    if dialect not in ("stlc", "bstlc", "stdlc", "pcfl"):
+    if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
     p = _Parser(src, dialect)
     t = p.parse_term()
@@ -518,39 +530,6 @@ class TypeMismatch(TypeError):
 
 class GradeMismatch(TypeError):
     pass
-
-
-def _eq(a: Type, b: Type) -> bool:
-    return a == b
-
-
-def typecheck_stlc(ctx: Dict[str, Type], t: Term) -> Type:
-    allowed = (Var, Lam, App)
-    return _check_core(ctx, t, allowed, "stlc")
-
-
-def _check_core(ctx, t, allowed, dialect) -> Type:
-    if not isinstance(t, allowed):
-        raise TypeMismatch(f"{type(t).__name__} is not part of {dialect}")
-    if isinstance(t, Var):
-        if t.name not in ctx:
-            raise TypeMismatch(f"unbound variable {t.name}")
-        return ctx[t.name]
-    if isinstance(t, Lam):
-        if t.ann is None:
-            raise TypeMismatch(f"binder {t.var} needs a type annotation")
-        inner = dict(ctx)
-        inner[t.var] = t.ann
-        return Arrow(t.ann, _check_core(inner, t.body, allowed, dialect))
-    if isinstance(t, App):
-        fty = _check_core(ctx, t.fn, allowed, dialect)
-        aty = _check_core(ctx, t.arg, allowed, dialect)
-        if not isinstance(fty, Arrow):
-            raise TypeMismatch(f"applying a non-function of type {fty}")
-        if not _eq(fty.src, aty):
-            raise TypeMismatch(f"argument type {aty} does not match {fty.src}")
-        return fty.tgt
-    raise AssertionError
 
 
 def typecheck_bstlc(ctx, t: Term) -> Type:
@@ -586,7 +565,7 @@ def _infer_graded(ctx: Dict[str, Type], t: Term):
         aty, au = _infer_graded(ctx, t.arg)
         if not isinstance(fty, GradedArrow):
             raise TypeMismatch(f"applying a non-function of type {fty}")
-        if not _eq(fty.src, aty):
+        if fty.src != aty:
             raise TypeMismatch(f"argument type {aty} does not match {fty.src}")
         usage = dict(fu)
         for x, n in au.items():
@@ -616,29 +595,23 @@ def _join(a: Type, b: Type) -> Type:
         return b
     if isinstance(b, _Any):
         return a
-    if not _eq(a, b):
+    if a != b:
         raise TypeMismatch(f"branches have different types {a} and {b}")
     return a
 
 
-def typecheck_stdlc(ctx: Dict[str, Type], t: Term) -> Type:
-    if isinstance(t, ZeroTerm):
-        return ANY
-    if isinstance(t, Sum):
-        ty: Type = ANY
-        for s in t.terms:
-            ty = _join(ty, typecheck_stdlc(ctx, s))
-        return ty
-    if isinstance(t, DApp):
-        fty = typecheck_stdlc(ctx, t.fn)
-        aty = typecheck_stdlc(ctx, t.arg)
-        if isinstance(fty, _Any):
-            raise TypeMismatch("cannot differentiate the zero term without a type")
-        if not isinstance(fty, Arrow):
-            raise TypeMismatch(f"D[-,-] needs a function, got {fty}")
-        if not _eq(fty.src, aty):
-            raise TypeMismatch(f"argument type {aty} does not match {fty.src}")
-        return fty
+# the constructors each ungraded dialect allows; bstlc has its own checker
+_NODES = {
+    "stlc": (Var, Lam, App),
+    "stdlc": (Var, Lam, App, DApp, ZeroTerm, Sum),
+    "pcfl": (Var, Lam, App, Numeral, Succ, Pred, Ifz, Fix, Sum, Scalar, Choice),
+}
+
+
+def _check(ctx: Dict[str, Type], t: Term, dialect: str) -> Type:
+    """Simple types for stlc, stdlc and pcfl: one rule per constructor."""
+    if not isinstance(t, _NODES[dialect]):
+        raise TypeMismatch(f"{type(t).__name__} is not part of {dialect}")
     if isinstance(t, Var):
         if t.name not in ctx:
             raise TypeMismatch(f"unbound variable {t.name}")
@@ -648,74 +621,64 @@ def typecheck_stdlc(ctx: Dict[str, Type], t: Term) -> Type:
             raise TypeMismatch(f"binder {t.var} needs a type annotation")
         inner = dict(ctx)
         inner[t.var] = t.ann
-        return Arrow(t.ann, typecheck_stdlc(inner, t.body))
-    if isinstance(t, App):
-        fty = typecheck_stdlc(ctx, t.fn)
-        aty = typecheck_stdlc(ctx, t.arg)
+        return Arrow(t.ann, _check(inner, t.body, dialect))
+    if isinstance(t, (App, DApp)):
+        fty = _check(ctx, t.fn, dialect)
+        aty = _check(ctx, t.arg, dialect)
+        deriv = isinstance(t, DApp)
+        if deriv and isinstance(fty, _Any):
+            raise TypeMismatch("cannot differentiate the zero term without a type")
         if not isinstance(fty, Arrow):
-            raise TypeMismatch(f"applying a non-function of type {fty}")
-        if not _eq(fty.src, aty):
+            raise TypeMismatch(
+                f"D[-,-] needs a function, got {fty}" if deriv
+                else f"applying a non-function of type {fty}"
+            )
+        if fty.src != aty:
             raise TypeMismatch(f"argument type {aty} does not match {fty.src}")
-        return fty.tgt
-    raise TypeMismatch(f"{type(t).__name__} is not part of stdlc")
-
-
-def typecheck_pcfl(ctx: Dict[str, Type], t: Term) -> Type:
+        # D[M,N] : A -> B keeps M's arrow type
+        return fty if deriv else fty.tgt
+    if isinstance(t, ZeroTerm):
+        return ANY
     if isinstance(t, Numeral):
         return NAT
-    if isinstance(t, Succ) or isinstance(t, Pred):
-        if not _eq(typecheck_pcfl(ctx, t.arg), NAT):
+    if isinstance(t, (Succ, Pred)):
+        if _check(ctx, t.arg, dialect) != NAT:
             raise TypeMismatch("succ/pred expects a Nat")
         return NAT
     if isinstance(t, Ifz):
-        if not _eq(typecheck_pcfl(ctx, t.cond), NAT):
+        if _check(ctx, t.cond, dialect) != NAT:
             raise TypeMismatch("ifz scrutinee must be a Nat")
-        return _join(typecheck_pcfl(ctx, t.then), typecheck_pcfl(ctx, t.other))
+        return _join(_check(ctx, t.then, dialect), _check(ctx, t.other, dialect))
     if isinstance(t, Fix):
-        fty = typecheck_pcfl(ctx, t.body)
-        if not isinstance(fty, Arrow) or not _eq(fty.src, fty.tgt):
+        fty = _check(ctx, t.body, dialect)
+        if not isinstance(fty, Arrow) or fty.src != fty.tgt:
             raise TypeMismatch(f"Y expects A -> A, got {fty}")
         return fty.tgt
-    if isinstance(t, Sum):
-        ty: Type = ANY
-        for s in t.terms:
-            ty = _join(ty, typecheck_pcfl(ctx, s))
-        return ty
-    if isinstance(t, Scalar):
-        return typecheck_pcfl(ctx, t.body)
-    if isinstance(t, Choice):
-        return _join(typecheck_pcfl(ctx, t.left), typecheck_pcfl(ctx, t.right))
-    if isinstance(t, Var):
-        if t.name not in ctx:
-            raise TypeMismatch(f"unbound variable {t.name}")
-        return ctx[t.name]
-    if isinstance(t, Lam):
-        if t.ann is None:
-            raise TypeMismatch(f"binder {t.var} needs a type annotation")
-        inner = dict(ctx)
-        inner[t.var] = t.ann
-        return Arrow(t.ann, typecheck_pcfl(inner, t.body))
-    if isinstance(t, App):
-        fty = typecheck_pcfl(ctx, t.fn)
-        aty = typecheck_pcfl(ctx, t.arg)
-        if not isinstance(fty, Arrow):
-            raise TypeMismatch(f"applying a non-function of type {fty}")
-        if not _eq(fty.src, aty):
-            raise TypeMismatch(f"argument type {aty} does not match {fty.src}")
-        return fty.tgt
-    raise TypeMismatch(f"{type(t).__name__} is not part of pcfl")
+    # Sum, Scalar and Choice: the common type of the children
+    ty: Type = ANY
+    for s in children(t):
+        ty = _join(ty, _check(ctx, s, dialect))
+    return ty
+
+
+def typecheck_stlc(ctx: Dict[str, Type], t: Term) -> Type:
+    return _check(ctx, t, "stlc")
+
+
+def typecheck_stdlc(ctx: Dict[str, Type], t: Term) -> Type:
+    return _check(ctx, t, "stdlc")
+
+
+def typecheck_pcfl(ctx: Dict[str, Type], t: Term) -> Type:
+    return _check(ctx, t, "pcfl")
 
 
 def typecheck(ctx, t: Term, dialect: str) -> Type:
-    if dialect == "stlc":
-        return typecheck_stlc(ctx, t)
     if dialect == "bstlc":
         return typecheck_bstlc(ctx, t)
-    if dialect == "stdlc":
-        return typecheck_stdlc(ctx, t)
-    if dialect == "pcfl":
-        return typecheck_pcfl(ctx, t)
-    raise ValueError(f"unknown dialect {dialect!r}")
+    if dialect not in _NODES:
+        raise ValueError(f"unknown dialect {dialect!r}")
+    return _check(ctx, t, dialect)
 
 
 # -------------------------------------------------------------- translations
@@ -743,27 +706,3 @@ def translate_nondet(t: Term, cost: Weight = "c") -> Term:
     if isinstance(t, Fix):
         return Fix(Scalar(cost, translate_nondet(t.body, cost)))
     return _map_children(t, lambda s: translate_nondet(s, cost))
-
-
-def _map_children(t: Term, f) -> Term:
-    if isinstance(t, Lam):
-        return Lam(t.var, t.ann, f(t.body))
-    if isinstance(t, App):
-        return App(f(t.fn), f(t.arg))
-    if isinstance(t, DApp):
-        return DApp(f(t.fn), f(t.arg))
-    if isinstance(t, Sum):
-        return make_sum(*(f(s) for s in t.terms))
-    if isinstance(t, Scalar):
-        return Scalar(t.weight, f(t.body))
-    if isinstance(t, Choice):
-        return Choice(t.label, f(t.left), f(t.right))
-    if isinstance(t, Succ):
-        return Succ(f(t.arg))
-    if isinstance(t, Pred):
-        return Pred(f(t.arg))
-    if isinstance(t, Ifz):
-        return Ifz(f(t.cond), f(t.then), f(t.other))
-    if isinstance(t, Fix):
-        return Fix(f(t.body))
-    return t

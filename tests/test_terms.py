@@ -1,5 +1,8 @@
 """Parser, printer, typecheckers and translations."""
 
+import dataclasses
+import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,18 +25,25 @@ from tropcalc.terms import (
     Numeral,
     O,
     ParseError,
+    Pred,
     Scalar,
+    Succ,
     Sum,
     TRUE,
+    Term,
     TypeMismatch,
     Var,
     ZERO_TERM,
+    _map_children,
+    children,
+    free_vars,
     make_sum,
     parse,
     pretty,
     subst,
     translate_nondet,
     translate_prob,
+    typecheck,
     typecheck_bstlc,
     typecheck_pcfl,
     typecheck_stdlc,
@@ -90,40 +100,37 @@ def test_parse_errors():
 names = st.sampled_from(["x", "y", "z", "f", "g"])
 
 
+@functools.lru_cache(maxsize=None)
 def term_strategy(dialect):
-    base = st.one_of(names.map(Var), st.just(Numeral(0)) if dialect == "pcfl" else names.map(Var))
+    base = st.one_of(names.map(Var), st.integers(0, 3).map(Numeral) if dialect == "pcfl" else names.map(Var))
     types = st.sampled_from([O, Arrow(O, O), NAT if dialect == "pcfl" else Arrow(O, Arrow(O, O))])
 
-    def extend(children):
+    def extend(sub):
         opts = [
-            st.tuples(names, types, children).map(lambda t: Lam(t[0], t[1], t[2])),
-            st.tuples(children, children).map(lambda t: App(*t)),
+            st.tuples(names, types, sub).map(lambda t: Lam(t[0], t[1], t[2])),
+            st.tuples(sub, sub).map(lambda t: App(*t)),
         ]
         if dialect == "pcfl":
             opts += [
-                st.tuples(children, children).map(lambda t: make_sum(*t)),
-                st.tuples(st.sampled_from(["a", "b"]), children).map(
+                st.tuples(sub, sub).map(lambda t: make_sum(*t)),
+                st.tuples(st.sampled_from(["a", "b"]), sub).map(
                     lambda t: Scalar(t[0], t[1])
                 ),
-                st.tuples(children, children).map(lambda t: Choice("p", *t)),
-                children.map(Fix),
-                children.map(Succ_),
+                st.tuples(sub, sub).map(lambda t: Choice("p", *t)),
+                sub.map(Fix),
+                sub.map(Succ),
+                sub.map(Pred),
+                st.tuples(sub, sub, sub).map(lambda t: Ifz(*t)),
             ]
         if dialect == "stdlc":
             opts += [
-                st.tuples(children, children).map(lambda t: DApp(*t)),
-                st.tuples(children, children).map(lambda t: make_sum(*t)),
+                st.tuples(sub, sub).map(lambda t: DApp(*t)),
+                st.tuples(sub, sub).map(lambda t: make_sum(*t)),
                 st.just(ZERO_TERM),
             ]
         return st.one_of(*opts)
 
     return st.recursive(base, extend, max_leaves=8)
-
-
-def Succ_(t):
-    from tropcalc.terms import Succ
-
-    return Succ(t)
 
 
 @pytest.mark.parametrize("dialect", ["stlc", "stdlc", "pcfl"])
@@ -132,6 +139,36 @@ def Succ_(t):
 def test_roundtrip(dialect, data):
     t = data.draw(term_strategy(dialect))
     assert parse(pretty(t), dialect) == t
+
+
+def field_children(t):
+    """Independent of `children`: the Term-valued dataclass fields, in order."""
+    out = []
+    for f in dataclasses.fields(t):
+        v = getattr(t, f.name)
+        out.extend(v if isinstance(v, tuple) else [v] if isinstance(v, Term) else [])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dialect", ["stlc", "stdlc", "pcfl"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_child_walk(dialect, data):
+    t = data.draw(term_strategy(dialect))
+    v = data.draw(term_strategy(dialect))
+    x = data.draw(names)
+    fv = free_vars(t)
+    expected = (fv - {x}) | (free_vars(v) if x in fv else set())
+    assert free_vars(subst(t, x, v)) == expected
+    assert _map_children(t, lambda s: s) == t
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        assert children(u) == field_children(u)
+        seen = []
+        _map_children(u, lambda s: seen.append(s) or s)
+        assert tuple(seen) == children(u)
+        todo.extend(children(u))
 
 
 # ------------------------------------------------------------- typecheckers
@@ -171,6 +208,44 @@ def test_pcfl_examples():
     assert typecheck_pcfl({}, parse("2 . 3 + 1 . 5", "pcfl")) == NAT
     with pytest.raises(TypeMismatch):
         typecheck_pcfl({}, parse("succ (\\x:Nat. x)", "pcfl"))
+
+
+# one row per error the stlc/stdlc/pcfl checker raises; a string is parsed
+TYPE_ERRORS = [
+    ("stlc", "succ x", "Succ is not part of stlc"),
+    ("stdlc", Numeral(2), "Numeral is not part of stdlc"),
+    ("pcfl", "D[f,x]", "DApp is not part of pcfl"),
+    ("stlc", "\\x:o. y", "unbound variable y"),
+    ("pcfl", "\\x. x", "binder x needs a type annotation"),
+    ("stlc", "\\x:o. x x", "applying a non-function of type o"),
+    ("stdlc", "0 0", "applying a non-function of type _"),
+    ("stlc", "(\\x:o. x) (\\y:o. y)", "argument type o -> o does not match o"),
+    ("stdlc", "\\f:o->o. D[f,f]", "argument type o -> o does not match o"),
+    ("stdlc", "D[0,0]", "cannot differentiate the zero term without a type"),
+    ("stdlc", "\\x:o. D[x,x]", "D[-,-] needs a function, got o"),
+    ("pcfl", "succ (\\x:Nat. x)", "succ/pred expects a Nat"),
+    ("pcfl", "pred (\\x:Nat. x)", "succ/pred expects a Nat"),
+    ("pcfl", "ifz (\\x:Nat. x) 1 2", "ifz scrutinee must be a Nat"),
+    ("pcfl", "Y (\\x:Nat. \\y:Nat. x)", "Y expects A -> A, got Nat -> Nat -> Nat"),
+    ("pcfl", "Y 1", "Y expects A -> A, got Nat"),
+    ("pcfl", "1 (+p) \\x:Nat. x", "branches have different types Nat and Nat -> Nat"),
+    ("pcfl", "ifz 0 (\\x:Nat. x) 1", "branches have different types Nat -> Nat and Nat"),
+    ("stdlc", "0 + (\\x:o. x) + \\y:o->o. y", "branches have different types o -> o and (o -> o) -> o -> o"),
+]
+
+
+@pytest.mark.parametrize("dialect,term,message", TYPE_ERRORS)
+def test_type_errors(dialect, term, message):
+    t = parse(term, dialect) if isinstance(term, str) else term
+    with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+        typecheck({}, t, dialect)
+
+
+def test_unknown_dialect():
+    with pytest.raises(ValueError, match="unknown dialect 'lc'"):
+        typecheck({}, Var("x"), "lc")
+    with pytest.raises(ValueError, match="unknown dialect 'lc'"):
+        parse("x", "lc")
 
 
 # ----------------------------------------------------------------- sums
