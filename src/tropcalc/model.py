@@ -7,9 +7,10 @@ symbolic weight parameters.  Absent entries are the constant-INF series.
 
 Composition and application both go through the promotion t^!: its entry
 at (rho, abag) is the least cost of splitting rho into one part per point
-of abag, each part sent onto its point.  `TropMatrix.promoted` memoizes it
-and `promotion_sum` combines it with the head matrix.  `linear_sum` is the
-same sum with a one-point abag; D[M,N], ifz and the star operator use it.
+of abag, each part sent onto its point.  `TropMatrix.promoted` memoizes it,
+and `promotion_sum`, the one coKleisli sum, combines it with a head over
+the split of the context mu = mu0 + rho.  `linear_sum` is that sum with a
+one-point abag; D[M,N], ifz and the star operator use it.
 
 Point representation (plain hashable tuples):
   ground point           "*"
@@ -70,15 +71,12 @@ def bags_upto(points: Iterable, k: int) -> List[tuple]:
 
 
 def sub_bags(bag: tuple) -> List[Tuple[tuple, tuple]]:
-    """Each distinct (sub, rest) decomposition of a sorted bag, once: a point
-    with n copies gives 0..n of them to sub.  Smaller subs come first, equal
-    sizes in sorted order: sums accumulate in this order, and it fixes the
-    order of their series' vars."""
+    """Each distinct (sub, rest) decomposition of a sorted bag, once, in no
+    promised order: a point with n copies gives 0..n of them to sub."""
     out = [((), ())]
     for p, copies in itertools.groupby(bag):
         n = len(list(copies))
-        out = [(s + (p,) * i, r + (p,) * (n - i)) for s, r in out for i in range(n, -1, -1)]
-    out.sort(key=lambda d: len(d[0]))
+        out = [(s + (p,) * i, r + (p,) * (n - i)) for s, r in out for i in range(n + 1)]
     return out
 
 
@@ -232,6 +230,7 @@ class TropMatrix:
         self._cache: Dict[tuple, TropSeries] = {}
         self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
+        self._reach: Dict[tuple, list] = {}
         self.name = name
 
     def entry(self, bag: tuple, b) -> TropSeries:
@@ -315,52 +314,51 @@ def weight_series(w: T.Weight) -> TropSeries:
 
 
 def promotion_sum(
-    head: Callable[[tuple], TropSeries],
-    t: TropMatrix,
-    rho: tuple,
-    k: int,
-    best: TropSeries = EMPTY_SERIES,
+    head: Callable[[tuple, tuple], TropSeries], t: TropMatrix, mu: tuple, k: int
 ) -> TropSeries:
-    """coKleisli composition through promotion: best min-combined with
-    head(abag) + t^!(rho, abag) over bags abag of at most k points.  Only
-    points that t reaches from some part of rho can occur in abag, and an
-    empty head skips the promotion."""
-    reach = set()
-    for part, _ in sub_bags(rho):
-        for a, _ in t.finite_points(part):
-            reach.add(a)
-    pts = sorted(reach)
-    # the empty bag promotes only the empty rho
-    for size in range(1 if rho else 0, k + 1):
-        for abag in itertools.combinations_with_replacement(pts, size):
-            h = head(abag)
-            if h.is_empty:
-                continue
-            promo = t.promoted(rho, abag)
-            if not promo.is_empty:
-                best = best.tmin(h.tmul(promo))
+    """The coKleisli sum: the min over mu = mu0 + rho and bags abag of at
+    most k points of head(mu0, abag) + t^!(rho, abag).  Only points that t
+    reaches from some part of rho can occur in abag (memoized per rho in
+    t._reach), and an empty head skips the promotion."""
+    best = EMPTY_SERIES
+    for mu0, rho in sub_bags(mu):
+        # the memo is inline, not a method: every fixpoint level demands
+        # through here, and a method would be one more frame
+        pts = t._reach.get(rho)
+        if pts is None:
+            reach = set()
+            for part, _ in sub_bags(rho):
+                for a, _ in t.finite_points(part):
+                    reach.add(a)
+            pts = t._reach[rho] = sorted(reach)
+        # the empty bag promotes only the empty rho
+        for size in range(1 if rho else 0, k + 1):
+            for abag in itertools.combinations_with_replacement(pts, size):
+                h = head(mu0, abag)
+                if h.is_empty:
+                    continue
+                promo = t.promoted(rho, abag)
+                if not promo.is_empty:
+                    best = best.tmin(h.tmul(promo))
     return best
 
 
 def linear_sum(
     head: Callable[[tuple, object], TropSeries], t: TropMatrix, mu: tuple
 ) -> TropSeries:
-    """The promotion sum with a one-point abag: the min over mu = mu1 + mu0
-    and points a that t reaches from mu1 of t_{mu1,a} + head(mu0, a)."""
-    best = EMPTY_SERIES
-    for mu1, mu0 in sub_bags(mu):
-        for a, s in t.finite_points(mu1):
-            best = best.tmin(s.tmul(head(mu0, a)))
-    return best
+    """The promotion sum with a one-point abag: the min over mu = mu0 + rho
+    and points a of head(mu0, a) + t_{rho,a}."""
+    return promotion_sum(lambda mu0, abag: head(mu0, abag[0]) if abag else EMPTY_SERIES, t, mu, 1)
 
 
-def kleisli_compose(s: TropMatrix, t: TropMatrix, caps: Caps = DEFAULT_CAPS) -> TropMatrix:
-    """(s o_! t)_{mu,c} = inf over bags rho of s_{rho,c} + t^!_{mu,rho}."""
+def kleisli_compose(s: TropMatrix, t: TropMatrix, k: int) -> TropMatrix:
+    """(s o_! t)_{mu,c} = inf over bags rho of at most k points of
+    s_{rho,c} + t^!_{mu,rho}."""
     if t.cod != s.dom:
         raise ShapeMismatch(f"cannot compose {s.dom!r} after {t.cod!r}")
 
     def fn(mu, c):
-        return promotion_sum(lambda rho: s.entry(rho, c), t, mu, caps.k_max)
+        return promotion_sum(lambda mu0, rho: EMPTY_SERIES if mu0 else s.entry(rho, c), t, mu, k)
 
     return TropMatrix(t.dom, s.cod, fn, f"({s.name} . {t.name})")
 
@@ -456,10 +454,7 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int, name="app") -> TropMa
         raise ShapeMismatch(f"applying a non-arrow matrix {fm.cod!r}")
 
     def fn(mu, b):
-        best = EMPTY_SERIES
-        for mu0, rest in sub_bags(mu):
-            best = promotion_sum(lambda abag: fm.entry(mu0, ("=>", abag, b)), fa, rest, arrow_cap, best)
-        return best
+        return promotion_sum(lambda mu0, abag: fm.entry(mu0, ("=>", abag, b)), fa, mu, arrow_cap)
 
     return TropMatrix(fm.dom, fm.cod.cod, fn, name)
 

@@ -61,10 +61,9 @@ def step(t: T.Term) -> List[Tuple[T.Term, WeightedStep]]:
 def _step_at(t: T.Term, addr: Tuple[str, ...]) -> List[Tuple[T.Term, WeightedStep]]:
     if isinstance(t, T.Choice):
         # (M (+p) N) -> p.M + p'.N, for free; the weights are charged when
-        # the scalars fire
-        out = T.make_sum(
-            T.Scalar(t.w_left, t.left), T.Scalar(t.w_right, t.right)
-        )
+        # the scalars fire.  The summands are in make_sum's order already
+        # ("p . M" sorts before "p' . N", see translate_prob)
+        out = T.Sum((T.Scalar(t.w_left, t.left), T.Scalar(t.w_right, t.right)))
         return [(out, WeightedStep(addr, "choice", ZERO_W))]
     if isinstance(t, T.Sum):
         return [
@@ -234,10 +233,9 @@ def mle(series: TropSeries) -> Tuple[Union[Fraction, float], Optional[MultiDegre
     """
     if series.is_empty:
         return float("nan"), None
-    vars_ = sorted(series.vars)
-    if len(vars_) > 2:
-        raise ValueError(f"need at most two variables, got {vars_}")
-    right = [v for v in vars_ if v.endswith("'")] or vars_[1:]
+    if len(series.vars) > 2:
+        raise ValueError(f"need at most two variables, got {list(series.vars)}")
+    right = [v for v in series.vars if v.endswith("'")] or series.vars[1:]
 
     def optimum(d: MultiDegree) -> Tuple[float, Fraction]:
         j = sum(n for v, n in d.items() if v in right)

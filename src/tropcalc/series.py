@@ -139,7 +139,8 @@ TRIVIAL = Valuation(Valuation.TRIVIAL)
 
 
 class TropSeries:
-    """Finite min of affine monomials over a named variable set."""
+    """Finite min of affine monomials over a named variable set, kept as
+    a sorted tuple in `vars`, so no operand order can show in it."""
 
     __slots__ = ("vars", "coeffs")
 
@@ -148,8 +149,8 @@ class TropSeries:
         vars: Sequence[str] = (),
         coeffs: Mapping[MultiDegree, Trop] | Iterable[Tuple[MultiDegree, Trop]] = (),
     ):
-        self.vars: Tuple[str, ...] = tuple(vars)
-        vset = set(self.vars)
+        vset = set(vars)
+        self.vars: Tuple[str, ...] = tuple(sorted(vset))
         acc: Dict[MultiDegree, Trop] = {}
         it = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for deg, c in it:
@@ -207,25 +208,18 @@ class TropSeries:
                 return c
         raise ValueError("series is not constant")
 
-    def _merge_vars(self, other: "TropSeries") -> Tuple[str, ...]:
-        out = list(self.vars)
-        for v in other.vars:
-            if v not in out:
-                out.append(v)
-        return tuple(out)
-
     # -- semiring operations ------------------------------------------
 
     def tmin(self, other: "TropSeries") -> "TropSeries":
         items = list(self.coeffs.items()) + list(other.coeffs.items())
-        return TropSeries(self._merge_vars(other), items)
+        return TropSeries(self.vars + other.vars, items)
 
     def tmul(self, other: "TropSeries") -> "TropSeries":
         items = []
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 items.append((d1 + d2, trop_mul(c1, c2)))
-        return TropSeries(self._merge_vars(other), items)
+        return TropSeries(self.vars + other.vars, items)
 
     def shift(self, c: Trop) -> "TropSeries":
         if is_inf(c):
@@ -325,14 +319,7 @@ def tropicalize(
 ) -> TropSeries:
     """Coefficient-wise valuation of a classical polynomial."""
     items = [(deg, val(a)) for deg, a in classical_coeffs.items()]
-    if not vars:
-        seen = []
-        for deg, _ in items:
-            for v in deg.vars():
-                if v not in seen:
-                    seen.append(v)
-        vars = seen
-    return TropSeries(tuple(vars), items)
+    return TropSeries(vars or [v for deg in classical_coeffs for v in deg.vars()], items)
 
 
 def univariate_roots(f: TropSeries) -> list:

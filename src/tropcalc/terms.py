@@ -692,10 +692,12 @@ def translate_prob(t: Term) -> Term:
     turns evaluation into likelihood computation.
     """
     if isinstance(t, Choice):
-        return make_sum(
+        # make_sum's order, without printing the subtrees: "p . M" sorts
+        # before "p' . N", since the label is a prefix of label' and " " < "'"
+        return Sum((
             Scalar(t.w_left, translate_prob(t.left)),
             Scalar(t.w_right, translate_prob(t.right)),
-        )
+        ))
     return _map_children(t, translate_prob)
 
 

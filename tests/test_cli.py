@@ -156,7 +156,7 @@ def test_adequacy_recursion_headroom(capsys):
     # Y unrolls fixmax lazy matrices and demand recurses through all of
     # them; this pins the stack frames each level may cost
     code, out = run(capsys, "adequacy", f"{TERMS}/loop.lam", "--target", "0",
-                    "--fixmax", "180")
+                    "--fixmax", "220")
     assert code == 0
     assert out["equal"] is True
 
@@ -178,6 +178,18 @@ def test_seed_determinism(capsys):
     c2 = main(argv)
     o2 = capsys.readouterr().out
     assert c1 == c2 == 0 and o1 == o2
+
+
+def test_lipschitz_independent_of_monomial_order(capsys):
+    # sampled coordinates follow the series' sorted vars, not the order
+    # its monomials were written in
+    got = []
+    for series in ("min{b,2a+1}", "min{2a+1,b}"):
+        code, out = run(capsys, "lipschitz", "--series", series,
+                        "--center", "a=1,b=2", "--samples", "50")
+        assert code == 0
+        got.append(out["empirical"])
+    assert got[0] == got[1]
 
 
 def test_zero_cap_is_user_error(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropcalc.reduction import step
 from tropcalc.terms import (
     ANY,
     Arrow,
@@ -280,6 +281,18 @@ def test_translate_prob():
     )
     plain = parse("2 . 3", "pcfl")
     assert translate_prob(plain) == plain
+
+
+@settings(max_examples=200)
+@given(st.from_regex(r"[A-Za-z_][\w']*", fullmatch=True), term_strategy("pcfl"), term_strategy("pcfl"))
+def test_choice_sum_in_make_sum_order(label, left, right):
+    # translate_prob and the choice step build p.M + p'.N directly; make_sum,
+    # which sorts summands by their pretty form, gives the same term
+    t = Choice(label, left, right)
+    assert step(t)[0][0] == make_sum(Scalar(label, left), Scalar(label + "'", right))
+    assert translate_prob(t) == make_sum(
+        Scalar(label, translate_prob(left)), Scalar(label + "'", translate_prob(right))
+    )
 
 
 def count_leaf_scalars(t):
