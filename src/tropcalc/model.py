@@ -22,6 +22,7 @@ Multisets ("bags") are sorted tuples of points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -307,7 +308,12 @@ def identity(x: SemSet) -> TropMatrix:
     return TropMatrix(x, x, fn, "id")
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def weight_series(w: T.Weight) -> TropSeries:
+    """The series of a scalar weight, built once per weight (typed, so a
+    float never shares an entry with an equal Fraction).  Callers share
+    the result, which is safe because no code mutates a series' `vars` or
+    `coeffs`."""
     if isinstance(w, str):
         return TropSeries.parameter(w)
     return TropSeries.constant(w)

@@ -3,6 +3,14 @@
 A series is a finite-support map from multi-degrees to coefficients,
 read as  f(x) = min over monomials of  (coeff + sum_v deg_v * x_v).
 The empty support is the constant-INF series (min over nothing).
+
+Validation happens once, where a series or a degree is built from outside
+data: `TropSeries.__init__` and `MultiDegree.__init__` check every variable,
+exponent and coefficient, and so do the constructors built on them
+(`constant`, `monomial`, `parameter`, `from_json_dict`, `tropicalize`, the
+CLI parsers).  The operations `tmin`, `tmul`, `shift`, `truncate` and
+`MultiDegree.__add__` trust their operands, which are valid by then, and
+build their results directly.
 """
 
 from __future__ import annotations
@@ -67,10 +75,17 @@ class MultiDegree:
         return sum(n for _, n in self._items)
 
     def __add__(self, other: "MultiDegree") -> "MultiDegree":
+        if not other._items:
+            return self
+        if not self._items:
+            return other
         d = dict(self._items)
         for v, n in other._items:
             d[v] = d.get(v, 0) + n
-        return MultiDegree(d)
+        # sums of positive exponents: nothing for __init__ to check
+        out = object.__new__(MultiDegree)
+        out._items = tuple(sorted(d.items()))
+        return out
 
     def remove_one(self, var: str) -> "MultiDegree":
         d = dict(self._items)
@@ -140,7 +155,13 @@ TRIVIAL = Valuation(Valuation.TRIVIAL)
 
 class TropSeries:
     """Finite min of affine monomials over a named variable set, kept as
-    a sorted tuple in `vars`, so no operand order can show in it."""
+    a sorted tuple in `vars`, so no operand order can show in it.
+
+    `__init__` validates: every monomial's variables must be in `vars`,
+    coefficients are coerced to tropical values and INF ones dropped.
+    `tmin`, `tmul`, `shift` and `truncate` build their results through
+    `_of`, which checks nothing.  No code mutates `vars` or `coeffs`, so
+    results may share them (and their degrees) with the operands."""
 
     __slots__ = ("vars", "coeffs")
 
@@ -164,6 +185,15 @@ class TropSeries:
             if prev is None or c < prev:
                 acc[deg] = c
         self.coeffs: Dict[MultiDegree, Trop] = acc
+
+    @classmethod
+    def _of(cls, vars: Tuple[str, ...], coeffs: Dict[MultiDegree, Trop]) -> "TropSeries":
+        """Trusted constructor: `vars` sorted without duplicates and
+        covering every monomial, no INF coefficient."""
+        out = object.__new__(cls)
+        out.vars = vars
+        out.coeffs = coeffs
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -211,20 +241,36 @@ class TropSeries:
     # -- semiring operations ------------------------------------------
 
     def tmin(self, other: "TropSeries") -> "TropSeries":
-        items = list(self.coeffs.items()) + list(other.coeffs.items())
-        return TropSeries(self.vars + other.vars, items)
+        acc = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            prev = acc.get(d)
+            if prev is None or c < prev:
+                acc[d] = c
+        return TropSeries._of(_union(self.vars, other.vars), acc)
 
     def tmul(self, other: "TropSeries") -> "TropSeries":
-        items = []
+        # coefficients are finite, so trop_mul is +; only a float sum can
+        # overflow to INF, and an INF monomial is dropped
+        acc: Dict[MultiDegree, Trop] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
-                items.append((d1 + d2, trop_mul(c1, c2)))
-        return TropSeries(self.vars + other.vars, items)
+                c = c1 + c2
+                if c.__class__ is float and c == INF:
+                    continue
+                d = d1 + d2
+                prev = acc.get(d)
+                if prev is None or c < prev:
+                    acc[d] = c
+        return TropSeries._of(_union(self.vars, other.vars), acc)
 
     def shift(self, c: Trop) -> "TropSeries":
-        if is_inf(c):
-            return TropSeries.empty(self.vars)
-        return TropSeries(self.vars, [(d, trop_mul(cc, c)) for d, cc in self.coeffs.items()])
+        acc: Dict[MultiDegree, Trop] = {}
+        if not is_inf(c):
+            for d, cc in self.coeffs.items():
+                s = cc + c
+                if not is_inf(s):
+                    acc[d] = s
+        return TropSeries._of(self.vars, acc)
 
     # -- evaluation -----------------------------------------------------
 
@@ -251,7 +297,7 @@ class TropSeries:
 
     def truncate(self, eps: Trop) -> "TropSeries":
         keep = self.epsilon_support(eps)
-        return TropSeries(self.vars, {d: c for d, c in self.coeffs.items() if d in keep})
+        return TropSeries._of(self.vars, {d: c for d, c in self.coeffs.items() if d in keep})
 
     # -- equality / repr -------------------------------------------------
 
@@ -302,6 +348,15 @@ class TropSeries:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Sorted union of two sorted variable tuples."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted(set(a).union(b)))
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,8 @@ ZERO = Fraction(0)
 
 
 def is_inf(a: Trop) -> bool:
-    return a == INF
+    # only a float can be INF; Fraction.__eq__ against a float is slow
+    return a.__class__ is float and a == INF
 
 
 def as_trop(a) -> Trop:

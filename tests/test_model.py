@@ -32,6 +32,7 @@ from tropcalc.model import (
     matrix_to_json_dict,
     sub_bags,
     uncurry,
+    weight_series,
 )
 
 STAR = "*"
@@ -315,6 +316,16 @@ def test_weighted_sum_of_numerals():
 def test_scalar_symbolic():
     m = interpret(parse("a . 3", "pcfl"), [], "pcfl")
     assert m.entry((), 3) == TropSeries.parameter("a")
+
+
+def test_weight_series_built_once_per_weight():
+    assert weight_series("a") is weight_series("a")
+    assert weight_series("a") == TropSeries.parameter("a")
+    assert weight_series(Fraction(1, 2)) is weight_series(Fraction(1, 2))
+    # a float weight never shares an entry with the equal Fraction
+    half = weight_series(0.5).constant_value()
+    assert half == Fraction(1, 2) and isinstance(half, float)
+    assert isinstance(weight_series(Fraction(1, 2)).constant_value(), Fraction)
 
 
 def test_succ_pred_ifz():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropcalc.values import INF, trop_add, trop_close, trop_dist, trop_mul
+from tropcalc.values import INF, as_trop, is_inf, trop_add, trop_close, trop_dist, trop_mul
 from tropcalc.series import (
     NEG_LOG,
     TRIVIAL,
@@ -129,6 +129,107 @@ def test_min_mul_examples():
             MultiDegree({"b": 2}): Fraction(0),
         },
     )
+
+
+# The operations build their results without re-validating.  Each result
+# must equal its validating rebuild and the validating formula for it.
+
+mixed_coeffs = st.one_of(
+    rationals, st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def mixed_series(draw):
+    vs = draw(st.lists(st.sampled_from("xyz"), unique=True))
+    mons = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=len(vs), max_size=len(vs)),
+                mixed_coeffs,
+            ),
+            max_size=6,
+        )
+    )
+    return TropSeries(vs, [(MultiDegree(dict(zip(vs, es))), c) for es, c in mons])
+
+
+any_series = st.one_of(small_series, mixed_series())
+epsilons = st.one_of(
+    st.fractions(min_value=Fraction(1, 100), max_value=5),
+    st.floats(min_value=0.01, max_value=5),
+)
+
+
+def assert_valid(r):
+    rebuilt = TropSeries(r.vars, r.coeffs)
+    assert rebuilt.coeffs == r.coeffs and rebuilt.vars == r.vars
+    assert list(r.vars) == sorted(set(r.vars))
+    assert all(v in r.vars for d in r.coeffs for v in d.vars())
+    assert not any(c == INF for c in r.coeffs.values())
+
+
+def union(*fs):
+    return tuple(sorted({v for f in fs for v in f.vars}))
+
+
+@given(any_series, any_series, mixed_coeffs, epsilons)
+def test_trusted_results_match_validating_rebuild(f, g, c, eps):
+    for r in (f.tmin(g), f.tmul(g), f.shift(c), f.truncate(eps)):
+        assert_valid(r)
+    assert f.tmin(g).vars == f.tmul(g).vars == union(f, g)
+    assert f.shift(c).vars == f.truncate(eps).vars == f.vars
+    # the validating formulas, monomials in the same order
+    old_min = TropSeries(
+        f.vars + g.vars, list(f.coeffs.items()) + list(g.coeffs.items())
+    )
+    old_mul = TropSeries(
+        f.vars + g.vars,
+        [
+            (MultiDegree(d1.items() + d2.items()), trop_mul(c1, c2))
+            for d1, c1 in f.coeffs.items()
+            for d2, c2 in g.coeffs.items()
+        ],
+    )
+    old_shift = TropSeries(f.vars, [(d, trop_mul(cc, c)) for d, cc in f.coeffs.items()])
+    assert list(f.tmin(g).coeffs.items()) == list(old_min.coeffs.items())
+    assert list(f.tmul(g).coeffs.items()) == list(old_mul.coeffs.items())
+    assert list(f.shift(c).coeffs.items()) == list(old_shift.coeffs.items())
+
+
+@given(any_series)
+def test_trusted_units_and_empty(f):
+    one = f.tmul(TropSeries.constant(0))
+    assert one == f and one.vars == f.vars
+    e = TropSeries.empty(("w",))
+    assert f.tmin(e) == f and f.tmin(e).vars == union(f, e)
+    assert f.tmul(e).is_empty and f.tmul(e).vars == union(f, e)
+    assert e.tmin(f).vars == e.tmul(f).vars == union(f, e)
+
+
+def test_float_overflow_drops_monomial():
+    # finite floats can sum to INF, which a series never stores
+    big = TropSeries.monomial({"x": 1}, 1e308)
+    assert big.tmul(big).is_empty and big.tmul(big).vars == ("x",)
+    assert big.shift(1e308).is_empty
+    assert big.tmin(big.shift(1e308)) == big
+
+
+@pytest.mark.parametrize(
+    "a",
+    [Fraction(0), Fraction(7, 3), 0, 5, 0.0, 1e308, math.inf, float("inf"), -math.inf],
+)
+def test_is_inf_table(a):
+    assert is_inf(a) is (a == INF)
+
+
+def test_public_constructors_validate():
+    with pytest.raises(ValueError, match="unknown variable"):
+        TropSeries(("x",), {MultiDegree({"y": 1}): 0})
+    with pytest.raises(ValueError):
+        MultiDegree({"x": -1})
+    with pytest.raises(ValueError):
+        as_trop(-1)
 
 
 @given(small_series, rationals)
