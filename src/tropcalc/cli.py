@@ -134,9 +134,9 @@ def cmd_interpret(args):
     t = term_from_args(args)
     caps = caps_from_args(args)
     m = interpret(t, [], args.dialect, caps)
-    for bag in m.dom.bags(args.maxbag):
-        for pt in m.cod.points():
-            m.entry(bag, pt)
+    # a closed term's only context bag is the empty one
+    for pt in m.cod.points():
+        m.entry((), pt)
     payload = matrix_to_json_dict(m)
     payload["boolean"] = check_boolean(m)
     emit(payload, f"{len(payload['entries'])} finite entries", args)
@@ -306,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("interpret", cmd_interpret, help="denotation matrix of a closed term")
     term_opts(sp, "stlc")
     caps_opts(sp)
-    sp.add_argument("--maxbag", type=int, default=2)
+    sp.add_argument(
+        "--maxbag", type=int, default=2,
+        help="no effect: a closed term has only the empty context bag",
+    )
 
     sp = add("eval", cmd_eval, help="evaluate a series or a term entry at a point")
     term_opts(sp)

@@ -12,6 +12,15 @@ and `promotion_sum`, the one coKleisli sum, combines it with a head over
 the split of the context mu = mu0 + rho.  `linear_sum` is that sum with a
 one-point abag; D[M,N], ifz and the star operator use it.
 
+The sum enumerates one of two sides.  Reach-driven, it asks the head about
+every bag over the points the argument reaches from rho.  Head-driven, for
+application only, it visits the function's finite row at mu0, memoized on
+the function matrix so that every Y level sharing it shares the row.  A
+split takes the row when it already exists, or when the reach covers the
+argument's whole codomain, where both sides cost about the same; anything
+else stays reach-driven, because a row over an arrow-valued codomain can
+cost far more than the reach.
+
 Point representation (plain hashable tuples):
   ground point           "*"
   natural number         int
@@ -232,6 +241,7 @@ class TropMatrix:
         self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
         self._reach: Dict[tuple, list] = {}
+        self._rows: Dict[tuple, dict] = {}
         self.name = name
 
     def entry(self, bag: tuple, b) -> TropSeries:
@@ -320,28 +330,60 @@ def weight_series(w: T.Weight) -> TropSeries:
 
 
 def promotion_sum(
-    head: Callable[[tuple, tuple], TropSeries], t: TropMatrix, mu: tuple, k: int
+    head: Callable[[tuple, tuple], TropSeries],
+    t: TropMatrix,
+    mu: tuple,
+    k: int,
+    row: Optional[Tuple[TropMatrix, object]] = None,
 ) -> TropSeries:
     """The coKleisli sum: the min over mu = mu0 + rho and bags abag of at
-    most k points of head(mu0, abag) + t^!(rho, abag).  Only points that t
-    reaches from some part of rho can occur in abag (memoized per rho in
-    t._reach), and an empty head skips the promotion."""
+    most k points of head(mu0, abag) + t^!(rho, abag).  An empty head skips
+    the promotion, and the empty abag promotes only the empty rho.
+
+    Two enumerations give the same sum.  The reach-driven one asks the head
+    about every bag over the points t reaches from some part of rho
+    (memoized per rho in t._reach).  The head-driven one visits only the
+    finite heads: ``row=(m, b)`` says head(mu0, abag) is m's entry at
+    (mu0, ("=>", abag, b)), so those heads are m.finite_points(mu0) at
+    codomain point b, memoized per mu0 in m._rows.  A split takes the
+    head-driven path when that row exists, and builds it when the reach
+    covers every point of t.cod, since the reach bags then cost as much to
+    enumerate as the row; otherwise it takes the reach-driven one."""
     best = EMPTY_SERIES
     for mu0, rho in sub_bags(mu):
-        # the memo is inline, not a method: every fixpoint level demands
+        # the memos are inline, not methods: every fixpoint level demands
         # through here, and a method would be one more frame
-        pts = t._reach.get(rho)
-        if pts is None:
-            reach = set()
-            for part, _ in sub_bags(rho):
-                for a, _ in t.finite_points(part):
-                    reach.add(a)
-            pts = t._reach[rho] = sorted(reach)
-        # the empty bag promotes only the empty rho
-        for size in range(1 if rho else 0, k + 1):
-            for abag in itertools.combinations_with_replacement(pts, size):
-                h = head(mu0, abag)
-                if h.is_empty:
+        heads = None
+        if row is not None:
+            rows = row[0]._rows.get(mu0)
+            if rows is not None:
+                heads = rows.get(row[1], ())
+        if heads is None:
+            pts = t._reach.get(rho)
+            if pts is None:
+                reach = set()
+                for part, _ in sub_bags(rho):
+                    for a, _ in t.finite_points(part):
+                        reach.add(a)
+                pts = t._reach[rho] = sorted(reach)
+            if row is not None and len(pts) == len(t.cod.points()):
+                rows = {}
+                for (_, abag, b), h in row[0].finite_points(mu0):
+                    rows.setdefault(b, []).append((abag, h))
+                row[0]._rows[mu0] = rows
+                heads = rows.get(row[1], ())
+        if heads is None:
+            for size in range(1 if rho else 0, k + 1):
+                for abag in itertools.combinations_with_replacement(pts, size):
+                    h = head(mu0, abag)
+                    if h.is_empty:
+                        continue
+                    promo = t.promoted(rho, abag)
+                    if not promo.is_empty:
+                        best = best.tmin(h.tmul(promo))
+        else:
+            for abag, h in heads:
+                if len(abag) > k or (rho and not abag):
                     continue
                 promo = t.promoted(rho, abag)
                 if not promo.is_empty:
@@ -460,7 +502,9 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int, name="app") -> TropMa
         raise ShapeMismatch(f"applying a non-arrow matrix {fm.cod!r}")
 
     def fn(mu, b):
-        return promotion_sum(lambda mu0, abag: fm.entry(mu0, ("=>", abag, b)), fa, mu, arrow_cap)
+        return promotion_sum(
+            lambda mu0, abag: fm.entry(mu0, ("=>", abag, b)), fa, mu, arrow_cap, (fm, b)
+        )
 
     return TropMatrix(fm.dom, fm.cod.cod, fn, name)
 

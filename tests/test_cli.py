@@ -1,5 +1,6 @@
 """End-to-end command-line invocations against golden outputs."""
 
+import hashlib
 import json
 import math
 import os
@@ -196,3 +197,39 @@ def test_zero_cap_is_user_error(capsys):
     code = main(["interpret", f"{TERMS}/id.lam", "--kmax", "0"])
     assert code == 1
     assert "all caps must be >= 1" in capsys.readouterr().err
+
+
+# sha256 of stdout for the gate commands that run in about a second or
+# less; a kernel change that keeps the numbers keeps these bytes
+FLIP = "\\f:o->o->o. \\x:o. \\y:o. f y x"
+DDF = "\\f:o->o->o. \\x:o. D[D[f,x],x] 0"
+IFZ = "\\x:Nat. ifz (b . x) (c . succ x) (a . pred x)"
+PINNED_STDOUT = [
+    pytest.param(["interpret", f"{TERMS}/twice.lam", "--kmax", "4"],
+                 "bbc2ab3ddb47e3aa1c175525161c64fc120528d029b4b828d00415c14367775a", id="twice"),
+    pytest.param(["interpret", "--term", FLIP, "--kmax", "2"],
+                 "5d955e9a8e9cc2c34c7af635851f6df689bb5e6655877e7f457210bc7cf83ea0", id="flip"),
+    pytest.param(["interpret", "--dialect", "stdlc", "--term", DDF, "--kmax", "2"],
+                 "6e74d4fecdc128219e7d02ad6135864c4577705313c83017b02a4f8c85e83470", id="ddf"),
+    pytest.param(["interpret", "--dialect", "pcfl", "--term", IFZ],
+                 "b944cf92c3738468789e2287d962ca6d7eaf6f86f1d649d4439de5e615333430", id="ifz"),
+    pytest.param(["bestcase", f"{TERMS}/gen.lam", "--depth", "200"],
+                 "0d0f867661be6617921122631b91cdbf395089ea455961bb340715ae7a848672", id="gen"),
+    pytest.param(["mle", f"{TERMS}/coin.lam", "--target", "1"],
+                 "ed86113d88b85156089425f7f6a8e8808b0a2887b42cd3ab4436266aaa41c46b", id="coin"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT)
+def test_pinned_stdout(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_interpret_maxbag_has_no_effect(capsys):
+    outs = []
+    for maxbag in ("1", "3"):
+        assert main(["interpret", f"{TERMS}/twice.lam", "--maxbag", maxbag]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

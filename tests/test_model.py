@@ -98,16 +98,21 @@ def test_compose_example():
     assert st.entry((a, a), z) == brute_compose_entry(s, t, (a, a), z, Y.points(), 4)
 
 
-def sparse_matrices(dom, cod, max_bag=3):
-    """Random sparse matrices: constant or one-parameter monomial entries."""
-    keys = [(bag, b) for bag in dom.bags(max_bag) for b in cod.points()]
+def sparse_entries(dom, cod, max_bag=3, points=None, max_size=10):
+    """Random sparse entry tables over `points` (default: all of cod):
+    constant or one-parameter monomial entries."""
+    keys = [(bag, b) for bag in dom.bags(max_bag) for b in points or cod.points()]
     coeffs = hst.fractions(min_value=0, max_value=5, max_denominator=4)
     values = hst.one_of(
         coeffs,
         hst.builds(lambda n, c: TropSeries.monomial({"a": n}, c), hst.integers(1, 2), coeffs),
     )
-    entries = hst.dictionaries(hst.sampled_from(keys), values, max_size=10)
-    return entries.map(lambda d: TropMatrix.from_entries(dom, cod, d))
+    return hst.dictionaries(hst.sampled_from(keys), values, max_size=max_size)
+
+
+def sparse_matrices(dom, cod, max_bag=3, **kw):
+    """Random sparse matrices (see `sparse_entries`)."""
+    return sparse_entries(dom, cod, max_bag, **kw).map(lambda d: TropMatrix.from_entries(dom, cod, d))
 
 
 def brute_promoted(t, rho, abag):
@@ -146,21 +151,73 @@ APP_CTX = NatSet(1)
 APP_ARG = ArrowSet(UnitSet(), UnitSet(), 1)
 
 
+def check_apply_oracle(fm, fa):
+    """`_apply` at arrow caps below and at the head's against bag_splits and
+    a brute promotion, demanding the contexts that hold 1 first; the kernel
+    never asks for a promotion that must be empty or exceeds the cap."""
+    asked = []
+    promoted = fa.promoted
+    fa.promoted = lambda rho, abag: asked.append((rho, abag)) or promoted(rho, abag)
+    mus = sorted(APP_CTX.bags(3), key=lambda mu: 1 not in mu)
+    for k in (1, 2):
+        app = _apply(fm, fa, k)
+        for mu in mus:
+            for b in app.cod.points():
+                want = TropSeries.empty()
+                for mu0, rho in bag_splits(mu, 2):
+                    for abag in fa.cod.bags(k):
+                        head = fm.entry(mu0, ("=>", abag, b))
+                        want = want.tmin(head.tmul(brute_promoted(fa, rho, abag)))
+                assert app.entry(mu, b) == want, (k, mu, b)
+        assert all(abag or not rho for rho, abag in asked), k
+        assert all(len(abag) <= k for rho, abag in asked), k
+        asked.clear()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     sparse_matrices(APP_CTX, ArrowSet(APP_ARG, NatSet(1), 2), max_bag=2),
     sparse_matrices(APP_CTX, APP_ARG, max_bag=2),
 )
 def test_apply_matches_split_enumeration(fm, fa):
-    app = _apply(fm, fa, 2)
-    for mu in APP_CTX.bags(3):
-        for b in app.cod.points():
-            want = TropSeries.empty()
-            for mu0, rho in bag_splits(mu, 2):
-                for abag in APP_ARG.bags(2):
-                    head = fm.entry(mu0, ("=>", abag, b))
-                    want = want.tmin(head.tmul(brute_promoted(fa, rho, abag)))
-            assert app.entry(mu, b) == want, (mu, b)
+    check_apply_oracle(fm, fa)
+
+
+# the application's result is itself arrow-valued, so each head row spans
+# 6 argument bags x 4 result points
+APP_RES = ArrowSet(UnitSet(), NatSet(1), 1)
+APP_FUN = ArrowSet(APP_ARG, APP_RES, 2)
+ARG_PTS = APP_ARG.points()
+
+
+def app_args(case):
+    """Arguments over APP_ARG for the three ways `_apply` can meet the
+    head-driven path: "full" reaches every point from every rho, so rows get
+    built; "partial" reaches one point only, so they never do; "reuse"
+    reaches every point exactly when rho holds the context point 1, so a
+    row built on such a rho is reused on a smaller reach."""
+    full_at = {"full": (), "partial": None, "reuse": (1,)}[case]
+    points = ARG_PTS if case == "full" else ARG_PTS[:1]
+
+    def build(entries, coeffs):
+        if full_at is not None:
+            for a, c in zip(ARG_PTS, coeffs):
+                entries.setdefault((full_at, a), c)
+        return TropMatrix.from_entries(APP_CTX, APP_ARG, entries)
+
+    coeff = hst.fractions(min_value=0, max_value=5, max_denominator=4)
+    return hst.builds(
+        build,
+        sparse_entries(APP_CTX, APP_ARG, max_bag=2, points=points),
+        hst.lists(coeff, min_size=len(ARG_PTS), max_size=len(ARG_PTS)),
+    )
+
+
+@pytest.mark.parametrize("case", ["full", "partial", "reuse"])
+@settings(max_examples=40, deadline=None)
+@given(fm=sparse_matrices(APP_CTX, APP_FUN, max_bag=2, max_size=40), data=hst.data())
+def test_apply_head_driven_matches_split_enumeration(case, fm, data):
+    check_apply_oracle(fm, data.draw(app_args(case)))
 
 
 @settings(max_examples=30, deadline=None)
