@@ -109,13 +109,11 @@ def caps_from_args(args) -> Caps:
 # ----------------------------------------------------------------- output
 
 
-def emit(payload, summary: str, args) -> None:
-    if getattr(args, "format", "json") == "tsv":
-        if isinstance(payload, list):
-            for row in payload:
-                print("\t".join(str(c) for c in row))
-        else:
-            raise UsageError("tsv output is only available for tabular data")
+def emit(payload, summary: str) -> None:
+    """Print a list of rows as TSV and anything else as JSON."""
+    if isinstance(payload, list):
+        for row in payload:
+            print("\t".join(str(c) for c in row))
     else:
         print(json.dumps(payload, sort_keys=True))
     print(summary, file=sys.stderr)
@@ -127,7 +125,7 @@ def emit(payload, summary: str, args) -> None:
 def cmd_check(args):
     t = term_from_args(args)
     ty = T.typecheck({} if args.dialect != "bstlc" else [], t, args.dialect)
-    emit({"term": str(t), "type": str(ty)}, f"ok: {t} : {ty}", args)
+    emit({"term": str(t), "type": str(ty)}, f"ok: {t} : {ty}")
 
 
 def cmd_interpret(args):
@@ -139,7 +137,7 @@ def cmd_interpret(args):
         m.entry((), pt)
     payload = matrix_to_json_dict(m)
     payload["boolean"] = check_boolean(m)
-    emit(payload, f"{len(payload['entries'])} finite entries", args)
+    emit(payload, f"{len(payload['entries'])} finite entries")
 
 
 def cmd_eval(args):
@@ -158,7 +156,6 @@ def cmd_eval(args):
             "value": fmt_trop(v),
         },
         f"value = {fmt_trop(v)}",
-        args,
     )
 
 
@@ -166,7 +163,7 @@ def cmd_roots(args):
     s = parse_coeffs(args.coeffs)
     roots = univariate_roots(s)
     payload = {"roots": [{"root": fmt_trop(r), "mult": m} for r, m in roots]}
-    emit(payload, " ".join(fmt_trop(r) for r, _ in roots), args)
+    emit(payload, " ".join(fmt_trop(r) for r, _ in roots))
 
 
 def cmd_truncate(args):
@@ -175,7 +172,6 @@ def cmd_truncate(args):
     emit(
         {"series": s.to_json_dict(), "eps": args.eps, "truncated": out.to_json_dict()},
         f"{len(s.coeffs)} -> {len(out.coeffs)} monomials",
-        args,
     )
 
 
@@ -187,7 +183,7 @@ def cmd_taylor(args):
         "degree_cap": args.degree,
         "elements": [{"resource": str(r), "elaborated": str(elaborate(r))} for r in elems],
     }
-    emit(payload, f"{len(elems)} expansion elements", args)
+    emit(payload, f"{len(elems)} expansion elements")
 
 
 def cmd_lipschitz(args):
@@ -208,7 +204,6 @@ def cmd_lipschitz(args):
             "empirical": fmt_trop(emp),
         },
         f"K = {fmt_trop(K)}, empirical = {fmt_trop(emp)}",
-        args,
     )
 
 
@@ -224,7 +219,7 @@ def cmd_bestcase(args):
             for w, leaf in _choice_leaves(t)
             if leaf == T.Numeral(args.target)
         ]
-    emit(payload, f"best case: {s!r}", args)
+    emit(payload, f"best case: {s!r}")
 
 
 def cmd_mle(args):
@@ -239,7 +234,7 @@ def cmd_mle(args):
         "p": float(p),
         "active": None if active is None else {v: n for v, n in active.items()},
     }
-    emit(payload, f"p* = {float(p):.4f}", args)
+    emit(payload, f"p* = {float(p):.4f}")
 
 
 def cmd_adequacy(args):
@@ -255,7 +250,6 @@ def cmd_adequacy(args):
             "equal": ok,
         },
         "adequate" if ok else "MISMATCH",
-        args,
     )
 
 
@@ -263,13 +257,10 @@ def cmd_plot(args):
     s = series_from_args(args)
     rows = plot_rows(s, None, as_trop(args.lo), as_trop(args.hi), args.steps)
     if args.format == "tsv":
-        emit([(fmt_trop(x), fmt_trop(v)) for x, v in rows], f"{len(rows)} samples", args)
+        payload = [(fmt_trop(x), fmt_trop(v)) for x, v in rows]
     else:
-        emit(
-            {"rows": [{"x": fmt_trop(x), "y": fmt_trop(v)} for x, v in rows]},
-            f"{len(rows)} samples",
-            args,
-        )
+        payload = {"rows": [{"x": fmt_trop(x), "y": fmt_trop(v)} for x, v in rows]}
+    emit(payload, f"{len(rows)} samples")
 
 
 # ----------------------------------------------------------------- wiring
@@ -287,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--format", choices=("json", "tsv"), default="json")
         return sp
 
     def term_opts(sp, dialect="pcfl"):
@@ -361,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", default="1/100")
 
     sp = add("plot", cmd_plot, help="sample a univariate series for plotting")
+    sp.add_argument("--format", choices=("json", "tsv"), default="json")
     sp.add_argument("--series")
     sp.add_argument("--coeffs")
     sp.add_argument("--lo", default="0")

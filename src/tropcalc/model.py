@@ -13,13 +13,19 @@ the split of the context mu = mu0 + rho.  `linear_sum` is that sum with a
 one-point abag; D[M,N], ifz and the star operator use it.
 
 The sum enumerates one of two sides.  Reach-driven, it asks the head about
-every bag over the points the argument reaches from rho.  Head-driven, for
-application only, it visits the function's finite row at mu0, memoized on
-the function matrix so that every Y level sharing it shares the row.  A
-split takes the row when it already exists, or when the reach covers the
-argument's whole codomain, where both sides cost about the same; anything
-else stays reach-driven, because a row over an arrow-valued codomain can
-cost far more than the reach.
+every bag over the points the argument reaches from rho
+(`TropMatrix.reach`).  Head-driven, for application only, it visits the
+function's finite row at mu0 (`TropMatrix.row`), memoized on the function
+matrix so that every Y level sharing it shares the row.  A split takes the
+row when it already exists, or when the reach covers the argument's whole
+codomain, where both sides cost about the same; anything else stays
+reach-driven, because a row over an arrow-valued codomain can cost far
+more than the reach.
+
+Y M is the last of f_max Kleene approximants, each one application of M
+to the one before.  Its matrix fills the approximants' finite rows from
+the bottom up before it asks the top one, so a demand never recurses
+through the chain and f_max is bounded by time and memory only.
 
 Point representation (plain hashable tuples):
   ground point           "*"
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -233,7 +238,7 @@ def sem_of_type(ty: T.Type, caps: Caps = DEFAULT_CAPS) -> SemSet:
 class TropMatrix:
     """Morphism !dom -> cod with demand-driven, memoized entries."""
 
-    def __init__(self, dom: SemSet, cod: SemSet, entry_fn: Callable[[tuple, object], TropSeries], name: str = ""):
+    def __init__(self, dom: SemSet, cod: SemSet, entry_fn: Callable[[tuple, object], TropSeries]):
         self.dom = dom
         self.cod = cod
         self._fn = entry_fn
@@ -242,7 +247,6 @@ class TropMatrix:
         self._support: Dict[tuple, list] = {}
         self._reach: Dict[tuple, list] = {}
         self._rows: Dict[tuple, dict] = {}
-        self.name = name
 
     def entry(self, bag: tuple, b) -> TropSeries:
         key = (bag, b)
@@ -256,14 +260,34 @@ class TropMatrix:
         """Codomain points with a non-INF entry at this bag."""
         got = self._support.get(bag)
         if got is None:
-            # a plain loop, not a comprehension: every fixpoint level
-            # demands through here, and a comprehension is one more frame
             got = []
             for b in self.cod.points():
                 s = self.entry(bag, b)
                 if not s.is_empty:
                     got.append((b, s))
             self._support[bag] = got
+        return got
+
+    def reach(self, rho: tuple) -> list:
+        """Sorted codomain points with a non-INF entry at some part of rho."""
+        got = self._reach.get(rho)
+        if got is None:
+            reach = set()
+            for part, _ in sub_bags(rho):
+                for a, _ in self.finite_points(part):
+                    reach.add(a)
+            got = self._reach[rho] = sorted(reach)
+        return got
+
+    def row(self, bag: tuple) -> dict:
+        """An arrow-valued matrix's finite entries at bag, grouped by the
+        arrow point's codomain point: b -> [(abag, entry at <abag, b>)]."""
+        got = self._rows.get(bag)
+        if got is None:
+            got = {}
+            for (_, abag, b), h in self.finite_points(bag):
+                got.setdefault(b, []).append((abag, h))
+            self._rows[bag] = got
         return got
 
     def promoted(self, rho: tuple, abag: tuple) -> TropSeries:
@@ -295,18 +319,17 @@ class TropMatrix:
         ]
 
     @classmethod
-    def from_entries(cls, dom: SemSet, cod: SemSet, entries: Mapping, name: str = "") -> "TropMatrix":
+    def from_entries(cls, dom: SemSet, cod: SemSet, entries: Mapping) -> "TropMatrix":
         table = {}
         for (bag, b), v in entries.items():
             table[(tuple(sorted(bag)), b)] = (
                 v if isinstance(v, TropSeries) else TropSeries.constant(v)
             )
-        m = cls(dom, cod, lambda bag, b: table.get((bag, b), EMPTY_SERIES), name)
-        return m
+        return cls(dom, cod, lambda bag, b: table.get((bag, b), EMPTY_SERIES))
 
     @classmethod
-    def empty(cls, dom: SemSet, cod: SemSet, name: str = "empty") -> "TropMatrix":
-        return cls(dom, cod, lambda bag, b: EMPTY_SERIES, name)
+    def empty(cls, dom: SemSet, cod: SemSet) -> "TropMatrix":
+        return cls(dom, cod, lambda bag, b: EMPTY_SERIES)
 
 
 def identity(x: SemSet) -> TropMatrix:
@@ -315,7 +338,7 @@ def identity(x: SemSet) -> TropMatrix:
     def fn(bag, b):
         return ZERO_SERIES if bag == (b,) else EMPTY_SERIES
 
-    return TropMatrix(x, x, fn, "id")
+    return TropMatrix(x, x, fn)
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -341,38 +364,28 @@ def promotion_sum(
     the promotion, and the empty abag promotes only the empty rho.
 
     Two enumerations give the same sum.  The reach-driven one asks the head
-    about every bag over the points t reaches from some part of rho
-    (memoized per rho in t._reach).  The head-driven one visits only the
+    about every bag over t.reach(rho).  The head-driven one visits only the
     finite heads: ``row=(m, b)`` says head(mu0, abag) is m's entry at
-    (mu0, ("=>", abag, b)), so those heads are m.finite_points(mu0) at
-    codomain point b, memoized per mu0 in m._rows.  A split takes the
-    head-driven path when that row exists, and builds it when the reach
+    (mu0, ("=>", abag, b)), so those heads are m.row(mu0)[b].  A split takes
+    the head-driven path when that row exists, and builds it when the reach
     covers every point of t.cod, since the reach bags then cost as much to
     enumerate as the row; otherwise it takes the reach-driven one."""
     best = EMPTY_SERIES
+    reach = t.reach
+    if row is not None:
+        m, b = row
+        n_cod = len(t.cod.points())
     for mu0, rho in sub_bags(mu):
-        # the memos are inline, not methods: every fixpoint level demands
-        # through here, and a method would be one more frame
-        heads = None
-        if row is not None:
-            rows = row[0]._rows.get(mu0)
-            if rows is not None:
-                heads = rows.get(row[1], ())
-        if heads is None:
-            pts = t._reach.get(rho)
-            if pts is None:
-                reach = set()
-                for part, _ in sub_bags(rho):
-                    for a, _ in t.finite_points(part):
-                        reach.add(a)
-                pts = t._reach[rho] = sorted(reach)
-            if row is not None and len(pts) == len(t.cod.points()):
-                rows = {}
-                for (_, abag, b), h in row[0].finite_points(mu0):
-                    rows.setdefault(b, []).append((abag, h))
-                row[0]._rows[mu0] = rows
-                heads = rows.get(row[1], ())
-        if heads is None:
+        # a split whose row already exists skips the reach
+        pts = None if row is not None and mu0 in m._rows else reach(rho)
+        if pts is None or (row is not None and len(pts) == n_cod):
+            for abag, h in m.row(mu0).get(b, ()):
+                if len(abag) > k or (rho and not abag):
+                    continue
+                promo = t.promoted(rho, abag)
+                if not promo.is_empty:
+                    best = best.tmin(h.tmul(promo))
+        else:
             for size in range(1 if rho else 0, k + 1):
                 for abag in itertools.combinations_with_replacement(pts, size):
                     h = head(mu0, abag)
@@ -381,13 +394,6 @@ def promotion_sum(
                     promo = t.promoted(rho, abag)
                     if not promo.is_empty:
                         best = best.tmin(h.tmul(promo))
-        else:
-            for abag, h in heads:
-                if len(abag) > k or (rho and not abag):
-                    continue
-                promo = t.promoted(rho, abag)
-                if not promo.is_empty:
-                    best = best.tmin(h.tmul(promo))
     return best
 
 
@@ -408,7 +414,7 @@ def kleisli_compose(s: TropMatrix, t: TropMatrix, k: int) -> TropMatrix:
     def fn(mu, c):
         return promotion_sum(lambda mu0, rho: EMPTY_SERIES if mu0 else s.entry(rho, c), t, mu, k)
 
-    return TropMatrix(t.dom, s.cod, fn, f"({s.name} . {t.name})")
+    return TropMatrix(t.dom, s.cod, fn)
 
 
 # ------------------------------------------------------------ CCC combinators
@@ -424,7 +430,7 @@ def pairing(f: TropMatrix, g: TropMatrix) -> TropMatrix:
         tag, i, p = b
         return f.entry(bag, p) if i == 0 else g.entry(bag, p)
 
-    return TropMatrix(f.dom, cod, fn, f"<{f.name},{g.name}>")
+    return TropMatrix(f.dom, cod, fn)
 
 
 def ev(a: SemSet, b: SemSet, k: int) -> TropMatrix:
@@ -442,7 +448,7 @@ def ev(a: SemSet, b: SemSet, k: int) -> TropMatrix:
             return ZERO_SERIES
         return EMPTY_SERIES
 
-    return TropMatrix(dom, b, fn, "ev")
+    return TropMatrix(dom, b, fn)
 
 
 def curry(f: TropMatrix, k: int) -> TropMatrix:
@@ -457,7 +463,7 @@ def curry(f: TropMatrix, k: int) -> TropMatrix:
         inner = bag_add(tag_bag(0, bag), tag_bag(1, abag))
         return f.entry(inner, b)
 
-    return TropMatrix(x, cod, fn, f"curry({f.name})")
+    return TropMatrix(x, cod, fn)
 
 
 def uncurry(f: TropMatrix) -> TropMatrix:
@@ -473,7 +479,7 @@ def uncurry(f: TropMatrix) -> TropMatrix:
         abag = split.get(1, ())
         return f.entry(xs, ("=>", abag, b))
 
-    return TropMatrix(dom, f.cod.cod, fn, f"uncurry({f.name})")
+    return TropMatrix(dom, f.cod.cod, fn)
 
 
 def diff_op(t: TropMatrix) -> TropMatrix:
@@ -489,13 +495,13 @@ def diff_op(t: TropMatrix) -> TropMatrix:
             return EMPTY_SERIES
         return t.entry(bag_add(rho, mu), b)
 
-    return TropMatrix(dom, t.cod, fn, f"D({t.name})")
+    return TropMatrix(dom, t.cod, fn)
 
 
 # ------------------------------------------------------------- interpretation
 
 
-def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int, name="app") -> TropMatrix:
+def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int) -> TropMatrix:
     """Context-sharing application: fm : !G -> (A => B), fa : !G -> A;
     (fm fa)_{mu0+mu1,b} = inf over abag of fm_{mu0,<abag,b>} + fa^!_{mu1,abag}."""
     if not isinstance(fm.cod, ArrowSet):
@@ -506,23 +512,16 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int, name="app") -> TropMa
             lambda mu0, abag: fm.entry(mu0, ("=>", abag, b)), fa, mu, arrow_cap, (fm, b)
         )
 
-    return TropMatrix(fm.dom, fm.cod.cod, fn, name)
+    return TropMatrix(fm.dom, fm.cod.cod, fn)
 
 
-def _scale(m: TropMatrix, w: T.Weight, name="") -> TropMatrix:
+def _scale(m: TropMatrix, w: T.Weight) -> TropMatrix:
     ws = weight_series(w)
-    return TropMatrix(
-        m.dom, m.cod, lambda bag, b: m.entry(bag, b).tmul(ws), name or f"{w}.{m.name}"
-    )
+    return TropMatrix(m.dom, m.cod, lambda bag, b: m.entry(bag, b).tmul(ws))
 
 
-def _mmin(a: TropMatrix, b: TropMatrix, name="") -> TropMatrix:
-    return TropMatrix(
-        a.dom,
-        a.cod,
-        lambda bag, pt: a.entry(bag, pt).tmin(b.entry(bag, pt)),
-        name or f"min({a.name},{b.name})",
-    )
+def _mmin(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    return TropMatrix(a.dom, a.cod, lambda bag, pt: a.entry(bag, pt).tmin(b.entry(bag, pt)))
 
 
 def _ctx_types(ctx: list, dialect: str) -> list:
@@ -557,7 +556,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         def var_fn(bag, b):
             return ZERO_SERIES if bag == (("@", i, b),) else EMPTY_SERIES
 
-        return TropMatrix(dom, cod, var_fn, term.name)
+        return TropMatrix(dom, cod, var_fn)
 
     if isinstance(term, T.Lam):
         inner_ctx = ctx + [(term.var, term.ann)]
@@ -577,7 +576,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
             inner = bag_add(bag, tag_bag(n, abag))
             return body.entry(inner, b)
 
-        return TropMatrix(dom, cod, lam_fn, f"lam {term.var}")
+        return TropMatrix(dom, cod, lam_fn)
 
     if isinstance(term, T.App):
         fm = _interp(term.fn, ctx, dialect, caps)
@@ -598,16 +597,16 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
                 return EMPTY_SERIES
             return linear_sum(lambda mu0, a: fm.entry(mu0, ("=>", bag_add(rho, (a,)), b)), fa, mu)
 
-        return TropMatrix(dom, fm.cod, dapp_fn, "Dapp")
+        return TropMatrix(dom, fm.cod, dapp_fn)
 
     if isinstance(term, T.ZeroTerm):
         # the zero term: all-INF at every type; give it a throwaway shape
-        return TropMatrix.empty(dom, UnitSet(), "0")
+        return TropMatrix.empty(dom, UnitSet())
 
     if isinstance(term, T.Sum):
         live = [s for s in term.terms if not isinstance(s, T.ZeroTerm)]
         if not live:
-            return TropMatrix.empty(dom, UnitSet(), "0")
+            return TropMatrix.empty(dom, UnitSet())
         parts = [_interp(s, ctx, dialect, caps) for s in live]
         out = parts[0]
         for p in parts[1:]:
@@ -630,7 +629,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         def num_fn(bag, m):
             return ZERO_SERIES if (bag == () and m == term.n) else EMPTY_SERIES
 
-        return TropMatrix(dom, cod, num_fn, str(term.n))
+        return TropMatrix(dom, cod, num_fn)
 
     if isinstance(term, T.Succ):
         sub = _interp(term.arg, ctx, dialect, caps)
@@ -640,7 +639,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
                 return EMPTY_SERIES
             return sub.entry(bag, m - 1)
 
-        return TropMatrix(dom, sub.cod, succ_fn, "succ")
+        return TropMatrix(dom, sub.cod, succ_fn)
 
     if isinstance(term, T.Pred):
         sub = _interp(term.arg, ctx, dialect, caps)
@@ -654,7 +653,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
                 out = out.tmin(sub.entry(bag, 0))
             return out
 
-        return TropMatrix(dom, sub.cod, pred_fn, "pred")
+        return TropMatrix(dom, sub.cod, pred_fn)
 
     if isinstance(term, T.Ifz):
         cm = _interp(term.cond, ctx, dialect, caps)
@@ -665,7 +664,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
             return linear_sum(lambda mu0, n: (tm if n == 0 else em).entry(mu0, b), cm, mu)
 
         cod = em.cod if isinstance(term.then, T.ZeroTerm) else tm.cod
-        return TropMatrix(dom, cod, ifz_fn, "ifz")
+        return TropMatrix(dom, cod, ifz_fn)
 
     if isinstance(term, T.Fix):
         fm = _interp(term.body, ctx, dialect, caps)
@@ -673,10 +672,22 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
             raise ShapeMismatch("Y needs an arrow-typed body")
         cap = fm.cod.k
         cod = fm.cod.cod
-        current = TropMatrix.empty(dom, cod, "fix0")
-        for i in range(caps.f_max):
-            current = _apply(fm, current, cap, name=f"fix{i + 1}")
-        return current
+        levels = [TropMatrix.empty(dom, cod)]
+        for _ in range(caps.f_max):
+            levels.append(_apply(fm, levels[-1], cap))
+        top = levels.pop()
+
+        def fix_fn(mu, b):
+            # each level's entries read only the finite rows of the level
+            # below at parts of mu, so filling those rows from the bottom up
+            # leaves every demand one level deep
+            parts = [part for part, _ in sub_bags(mu)]
+            for level in levels:
+                for part in parts:
+                    level.finite_points(part)
+            return top.entry(mu, b)
+
+        return TropMatrix(dom, cod, fix_fn)
 
     raise TypeError(f"no interpretation for {type(term).__name__}")
 
@@ -742,6 +753,3 @@ def matrix_to_json_dict(m: TropMatrix) -> dict:
     ]
     return {"domain": repr(m.dom), "codomain": repr(m.cod), "entries": entries}
 
-
-def matrix_to_json(m: TropMatrix) -> str:
-    return json.dumps(matrix_to_json_dict(m), sort_keys=True)

@@ -15,7 +15,6 @@ build their results directly.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -345,9 +344,6 @@ class TropSeries:
             val = as_trop(c) if isinstance(c, str) else (INF if is_inf(c) else float(c))
             items.append((MultiDegree(m["deg"]), val))
         return cls(tuple(d["vars"]), items)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:

@@ -143,7 +143,7 @@ def star(f: TropMatrix, g: TropMatrix) -> TropMatrix:
 
         return linear_sum(head, g, split.get(0, ()))
 
-    return TropMatrix(f.dom, f.cod, fn, f"({f.name} * {g.name})")
+    return TropMatrix(f.dom, f.cod, fn)
 
 
 def taylor_term(t: TropMatrix, s: TropMatrix, n: int) -> TropMatrix:
@@ -156,7 +156,7 @@ def taylor_term(t: TropMatrix, s: TropMatrix, n: int) -> TropMatrix:
     def fn(bag, y):
         return f.entry(tag_bag(0, bag), y)
 
-    return TropMatrix(t.dom, f.cod, fn, f"taylor{n}({t.name})")
+    return TropMatrix(t.dom, f.cod, fn)
 
 
 def taylor_sum(t: TropMatrix, s: TropMatrix, n_cap: int) -> TropMatrix:
@@ -169,7 +169,7 @@ def taylor_sum(t: TropMatrix, s: TropMatrix, n_cap: int) -> TropMatrix:
             best = best.tmin(m.entry(bag, y))
         return best
 
-    return TropMatrix(mats[0].dom, mats[0].cod, fn, f"taylor<= {n_cap}")
+    return TropMatrix(mats[0].dom, mats[0].cod, fn)
 
 
 def taylor_gap(

@@ -192,7 +192,7 @@ def _random_pair(seed, caps):
         for bag in C.bags(2)
         if rng.random() < 0.6
     }
-    return TropMatrix.from_entries(C, arrow, fe, "f"), TropMatrix.from_entries(C, A, ge, "g")
+    return TropMatrix.from_entries(C, arrow, fe), TropMatrix.from_entries(C, A, ge)
 
 
 def _partition_oracle(f, g, chi, y, n_cap):

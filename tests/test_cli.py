@@ -57,6 +57,7 @@ def test_check_type_error(capsys):
 def test_bad_usage_is_exit_1(capsys):
     assert main(["roots"]) == 1  # missing --coeffs
     assert main(["frobnicate"]) == 1
+    assert main(["roots", "--coeffs", "0:1", "--format", "json"]) == 1  # plot only
 
 
 def test_truncate(capsys):
@@ -153,11 +154,14 @@ def test_adequacy(capsys):
     assert out["equal"] is True
 
 
-def test_adequacy_recursion_headroom(capsys):
-    # Y unrolls fixmax lazy matrices and demand recurses through all of
-    # them; this pins the stack frames each level may cost
-    code, out = run(capsys, "adequacy", f"{TERMS}/loop.lam", "--target", "0",
-                    "--fixmax", "220")
+@pytest.mark.parametrize("source", [
+    [f"{TERMS}/loop.lam"],
+    ["--term", "(\\n:Nat. Y (\\x:Nat. n (+p) (a . x))) 0"],
+], ids=["loop", "open"])
+def test_adequacy_deep_fixpoint(capsys, source):
+    # a thousand Kleene approximants, closed and under a binder: the
+    # chain is filled bottom-up, so no demand recurses through it
+    code, out = run(capsys, "adequacy", *source, "--target", "0", "--fixmax", "1000")
     assert code == 0
     assert out["equal"] is True
 

@@ -1,13 +1,14 @@
 """Relational-model matrices, combinators and interpretation."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from tropcalc.series import MultiDegree, TropSeries
 from tropcalc.values import INF
-from tropcalc.terms import Arrow, GradedArrow, NAT, O, parse
+from tropcalc.terms import Arrow, Fix, GradedArrow, Lam, NAT, O, children, parse
 from tropcalc.model import (
     ArrowSet,
     Caps,
@@ -17,6 +18,7 @@ from tropcalc.model import (
     UnitSet,
     ZERO_SERIES,
     _apply,
+    _interp,
     bag_add,
     bag_splits,
     bags_upto,
@@ -35,6 +37,7 @@ from tropcalc.model import (
     weight_series,
 )
 
+TERMS = Path(__file__).resolve().parent.parent / "terms"
 STAR = "*"
 ID_PT = ("=>", (STAR,), STAR)
 
@@ -445,6 +448,41 @@ def test_cap_monotonicity():
         m = interpret(parse(src, "pcfl"), [], "pcfl", Caps(f_max=fmax))
         vals.append(m.entry((), 0).eval({"p": Fraction(1), "p'": Fraction(1)}))
     assert vals[0] >= vals[1] >= vals[2]
+
+
+def _fixes(t, ctx):
+    """Every Y subterm of t with its typing context."""
+    if isinstance(t, Fix):
+        yield t, ctx
+    if isinstance(t, Lam):
+        ctx = ctx + [(t.var, t.ann)]
+    for c in children(t):
+        yield from _fixes(c, ctx)
+
+
+@pytest.mark.parametrize("src", [
+    (TERMS / "loop.lam").read_text(),
+    (TERMS / "gen.lam").read_text(),
+    "(\\n:Nat. Y (\\x:Nat. n (+p) (a . x))) 0",
+    "(\\f:Nat->Nat. f 2) (Y (\\g:Nat->Nat. \\n:Nat. ifz n 0 (a . g (pred n))))",
+], ids=["loop", "gen", "open", "arrow"])
+def test_fix_matches_lazy_kleene_chain(src):
+    # oracle: Y M as f_max nested lazy applications of M, each demand
+    # recursing through the whole chain
+    caps = Caps(k_max=2, n_max=2, f_max=3)
+    found = list(_fixes(parse(src, "pcfl"), []))
+    assert found
+    for fix, ctx in found:
+        got = _interp(fix, ctx, "pcfl", caps)
+        fm = _interp(fix.body, ctx, "pcfl", caps)
+        want = TropMatrix.empty(got.dom, got.cod)
+        for _ in range(caps.f_max):
+            want = _apply(fm, want, fm.cod.k)
+        bags = got.dom.bags(2)
+        assert len(bags) > 1 or not ctx
+        for bag in reversed(bags):
+            for b in got.cod.points():
+                assert got.entry(bag, b) == want.entry(bag, b), (fix, bag, b)
 
 
 # ------------------------------------------------------------- matrix_apply

@@ -125,10 +125,7 @@ def random_pair(seed, caps):
     for bag in C.bags(2):
         if rng.random() < 0.6:
             ge[(bag, STAR)] = Fraction(rng.randint(0, 5))
-    return (
-        TropMatrix.from_entries(C, arrow, fe, "f"),
-        TropMatrix.from_entries(C, A, ge, "g"),
-    )
+    return TropMatrix.from_entries(C, arrow, fe), TropMatrix.from_entries(C, A, ge)
 
 
 def partition_oracle(f, g, chi, y, n_cap):
