@@ -22,10 +22,14 @@ codomain, where both sides cost about the same; anything else stays
 reach-driven, because a row over an arrow-valued codomain can cost far
 more than the reach.
 
-Y M is the last of f_max Kleene approximants, each one application of M
-to the one before.  Its matrix fills the approximants' finite rows from
-the bottom up before it asks the top one, so a demand never recurses
-through the chain and f_max is bounded by time and memory only.
+Y M is the infimum of its Kleene chain, each approximant one application
+of M to the one before.  Its matrix builds the approximants on demand and
+fills their finite rows at the parts of the demanded bag from the bottom
+up, so a demand never recurses through the chain.  It stops at the first
+approximant whose rows there equal those of the approximant below: each
+approximant reads only those rows, and every entry of a coKleisli sum is
+stored reduced, so the chain has stabilized exactly.  f_max is an upper
+limit, which a chain that stabilizes never reaches.
 
 Point representation (plain hashable tuples):
   ground point           "*"
@@ -369,7 +373,11 @@ def promotion_sum(
     (mu0, ("=>", abag, b)), so those heads are m.row(mu0)[b].  A split takes
     the head-driven path when that row exists, and builds it when the reach
     covers every point of t.cod, since the reach bags then cost as much to
-    enumerate as the row; otherwise it takes the reach-driven one."""
+    enumerate as the row; otherwise it takes the reach-driven one.
+
+    The sum is returned reduced (`TropSeries.reduced`): the same function
+    without its dominated monomials.  Reduction commutes with min and +, so
+    every entry built on reduced entries equals the reduced formal one."""
     best = EMPTY_SERIES
     reach = t.reach
     if row is not None:
@@ -394,7 +402,7 @@ def promotion_sum(
                     promo = t.promoted(rho, abag)
                     if not promo.is_empty:
                         best = best.tmin(h.tmul(promo))
-    return best
+    return best.reduced()
 
 
 def linear_sum(
@@ -673,18 +681,24 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         cap = fm.cod.k
         cod = fm.cod.cod
         levels = [TropMatrix.empty(dom, cod)]
-        for _ in range(caps.f_max):
-            levels.append(_apply(fm, levels[-1], cap))
-        top = levels.pop()
+        stop: Dict[tuple, TropMatrix] = {}
 
         def fix_fn(mu, b):
             # each level's entries read only the finite rows of the level
             # below at parts of mu, so filling those rows from the bottom up
-            # leaves every demand one level deep
-            parts = [part for part, _ in sub_bags(mu)]
-            for level in levels:
-                for part in parts:
-                    level.finite_points(part)
+            # leaves every demand one level deep; and once a level's rows
+            # equal the level below's, so do all higher levels' rows
+            top = stop.get(mu)
+            if top is None:
+                parts = [part for part, _ in sub_bags(mu)]
+                rows = [[] for _ in parts]  # level 0 is empty
+                for i in range(1, caps.f_max + 1):
+                    if i == len(levels):
+                        levels.append(_apply(fm, levels[-1], cap))
+                    below, rows = rows, [levels[i].finite_points(part) for part in parts]
+                    if rows == below:
+                        break
+                top = stop[mu] = levels[i]
             return top.entry(mu, b)
 
         return TropMatrix(dom, cod, fix_fn)

@@ -195,9 +195,11 @@ def adequacy_check(
 ) -> Tuple[TropSeries, TropSeries, bool]:
     """Denotational matrix entry vs. operational best case at a numeral.
 
-    Both sides are eps-truncated before comparison: with recursion each cap
-    (fixpoint iterations / path depth) leaves its own tail of dominated
-    monomials, and the truncation is what both tails collapse under.
+    Both sides are eps-truncated before comparison.  Only the operational
+    side carries a tail of dominated monomials, from the paths up to the
+    depth cap; the denotational entry is stored without them, and a Kleene
+    chain that stabilizes does so exactly.  The truncation is what that
+    tail, and a chain cut off by the fixpoint cap, collapse under.
     """
     n = _num(target)
     den = interpret(term, [], "pcfl", caps).entry((), n)

@@ -271,6 +271,25 @@ class TropSeries:
                     acc[d] = s
         return TropSeries._of(self.vars, acc)
 
+    def reduced(self) -> "TropSeries":
+        """The same function without dominated monomials: drop c + d.x when
+        another monomial c' + d'.x has c' <= c and d' <= d in every variable.
+        Every variable ranges over [0, INF], so such a monomial never attains
+        the min.  Keeps `vars`, and returns self when nothing is dropped."""
+        if len(self.coeffs) < 2:
+            return self
+        # a dominator has a smaller total degree (equal totals would make the
+        # degrees equal), so in order of total degree it comes first; since
+        # dominance is transitive, checking the kept monomials suffices
+        kept: list = []
+        for d, c in sorted(self.coeffs.items(), key=lambda dc: dc[0].total):
+            if not any(kc <= c and kd.preceq(d) for kd, kc in kept):
+                kept.append((d, c))
+        if len(kept) == len(self.coeffs):
+            return self
+        keep = {d for d, _ in kept}
+        return TropSeries._of(self.vars, {d: c for d, c in self.coeffs.items() if d in keep})
+
     # -- evaluation -----------------------------------------------------
 
     def eval(self, point: Mapping[str, Trop]) -> Trop:

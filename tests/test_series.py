@@ -1,5 +1,6 @@
 """Tropical scalars and series, checked against brute-force oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -213,6 +214,71 @@ def test_float_overflow_drops_monomial():
     assert big.tmul(big).is_empty and big.tmul(big).vars == ("x",)
     assert big.shift(1e308).is_empty
     assert big.tmin(big.shift(1e308)) == big
+
+
+# Pareto reduction: dropping dominated monomials keeps the function, since
+# every variable ranges over [0, INF].  Each series draws its coefficients
+# of one kind, exact or float: a float sum rounds, so 0.5 + q can exceed the
+# exact 1/2 + q, and a series mixing the two kinds is ordered only up to
+# that rounding.
+
+
+@st.composite
+def crowded_series(draw, coeff):
+    """Series over up to three variables whose monomials often compare."""
+    vs = draw(st.lists(st.sampled_from("xyz"), unique=True))
+    mons = draw(
+        st.lists(
+            st.tuples(st.lists(st.integers(0, 2), min_size=len(vs), max_size=len(vs)), coeff),
+            max_size=10,
+        )
+    )
+    return TropSeries(vs, [(MultiDegree(dict(zip(vs, es))), c) for es, c in mons])
+
+
+reducible = st.one_of(
+    small_series,
+    crowded_series(st.fractions(min_value=0, max_value=3, max_denominator=2)),
+    crowded_series(
+        st.one_of(st.sampled_from([0.5, 1.0, 2.5]), st.floats(min_value=0, allow_infinity=False))
+    ),
+)
+
+
+@given(reducible, reducible, st.data())
+def test_reduced_is_the_same_function_as_an_antichain(f, g, data):
+    r = f.reduced()
+    corners = [
+        dict(zip(f.vars, xs))
+        for xs in itertools.product((Fraction(0), INF), repeat=len(f.vars))
+    ]
+    samples = data.draw(
+        st.lists(st.fixed_dictionaries({v: rationals for v in f.vars}), max_size=5)
+    )
+    for point in corners + samples:
+        assert r.eval(point) == f.eval(point), point
+    # a sub-series of f in which no monomial dominates another
+    assert all(f.coeffs[d] == c for d, c in r.coeffs.items())
+    for (d, c), (d2, c2) in itertools.permutations(r.coeffs.items(), 2):
+        assert not (c2 <= c and d2.preceq(d)), (d2, d)
+    assert r.vars == f.vars and r.reduced() is r
+    # reduction commutes with min and +
+    assert f.tmin(g).reduced() == f.reduced().tmin(g.reduced()).reduced()
+    assert f.tmul(g).reduced() == f.reduced().tmul(g.reduced()).reduced()
+
+
+def test_reduced_examples():
+    chain = TropSeries(
+        ("p", "p'"), {MultiDegree({"p": 1, "p'": i}): Fraction(0) for i in range(4)}
+    )
+    assert chain.reduced() == TropSeries.parameter("p")
+    assert chain.reduced().vars == ("p", "p'")
+    # incomparable monomials stay, and so does the series itself
+    f = TropSeries(("a", "b"), {MultiDegree({"a": 1}): Fraction(1), MultiDegree({"b": 1}): 0})
+    assert f.reduced() is f
+    g = f.tmin(TropSeries.constant(Fraction(1, 2), ("a", "b")))
+    assert g.reduced() == TropSeries(("a", "b"), {MultiDegree(): Fraction(1, 2), MultiDegree({"b": 1}): 0})
+    assert TropSeries.empty().reduced().is_empty
 
 
 @pytest.mark.parametrize(
