@@ -8,6 +8,7 @@ error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import terms as T
 from .model import Caps, check_boolean, interpret, matrix_to_json_dict
-from .reduction import adequacy_check, best_case, mle, outcome_series, path_likelihood, _choice_leaves
+from .reduction import adequacy_check, best_case, mle, outcome_series, _choice_leaves
 from .series import MultiDegree, TropSeries, plot_rows, univariate_roots
 from .taylor import elaborate, empirical_lipschitz, lipschitz_estimate, taylor_expand
 from .values import INF, as_trop, fmt_trop, is_inf
@@ -214,10 +215,11 @@ def cmd_bestcase(args):
         s = s.truncate(as_trop(args.eps))
     payload = {"target": args.target, "depth": args.depth, "series": s.to_json_dict()}
     if isinstance(t, T.Choice):
+        goal = T.Numeral(args.target)
         payload["paths"] = [
-            {"omega": w, "monomial": path_likelihood(t, w).to_json_dict()}
-            for w, leaf in _choice_leaves(t)
-            if leaf == T.Numeral(args.target)
+            {"omega": w, "monomial": TropSeries.monomial(degrees, Fraction(0)).to_json_dict()}
+            for w, leaf, degrees in _choice_leaves(t)
+            if leaf == goal
         ]
     emit(payload, f"best case: {s!r}")
 
@@ -371,10 +373,16 @@ USER_ERRORS = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args leaves it unchanged, and a
+    fresh Namespace takes the defaults on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.fn(args)
         return 0
     except USER_ERRORS as e:

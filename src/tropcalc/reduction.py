@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import terms as T
 from .model import Caps, DEFAULT_CAPS, interpret, weight_series
@@ -126,7 +126,8 @@ def best_case(term: T.Term, target, depth_cap: int) -> TropSeries:
                 best = best.tmin(w)
                 continue
             for t2, ws in step(t):
-                acc = w.tmul(ws.weight)
+                # the unit's product is w itself: same coefficients and vars
+                acc = w if ws.weight is ZERO_W else w.tmul(ws.weight)
                 nxt[t2] = acc.tmin(nxt[t2]) if t2 in nxt else acc
         if not nxt:
             break
@@ -134,12 +135,21 @@ def best_case(term: T.Term, target, depth_cap: int) -> TropSeries:
     return best
 
 
-def _choice_leaves(t: T.Term, omega: str = "") -> Iterator[Tuple[str, T.Term]]:
-    if isinstance(t, T.Choice):
-        yield from _choice_leaves(t.left, omega + "l")
-        yield from _choice_leaves(t.right, omega + "r")
-    else:
-        yield omega, t
+def _choice_leaves(t: T.Term) -> List[Tuple[str, T.Term, Dict[str, int]]]:
+    """Every leaf of the choice tree, left to right, with its address and
+    the degrees of its path monomial, in one walk: each node passes its
+    degree map down.  Callers build only the monomials they use."""
+    out: List[Tuple[str, T.Term, Dict[str, int]]] = []
+
+    def walk(t: T.Term, omega: str, degrees: Dict[str, int]) -> None:
+        if isinstance(t, T.Choice):
+            for d, w, sub in (("l", t.w_left, t.left), ("r", t.w_right, t.right)):
+                walk(sub, omega + d, {**degrees, w: degrees.get(w, 0) + 1})
+        else:
+            out.append((omega, t, degrees))
+
+    walk(t, "", {})
+    return out
 
 
 def path_likelihood(term: T.Term, omega: str) -> TropSeries:
@@ -168,8 +178,8 @@ def outcome_series(term: T.Term, outcome, depth_cap: int = 24) -> TropSeries:
     if _has_fix(term):
         return best_case(term, n, depth_cap)
     best = TropSeries.empty()
-    for omega, leaf in _choice_leaves(term):
-        mono = path_likelihood(term, omega)
+    for _, leaf, degrees in _choice_leaves(term):
+        mono = TropSeries.monomial(degrees, Fraction(0))
         if leaf == T.Numeral(n):
             best = best.tmin(mono)
         else:

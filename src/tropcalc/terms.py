@@ -6,6 +6,13 @@ Dialects:
   stdlc  differential terms ``D[M,N]``, formal sums and the zero term
   pcfl   PCF with weighted effects: scalars ``w . M``, sums ``M + N``,
          binary probabilistic choice ``M (+p) N``, numerals and ``Y``
+
+Term nodes are frozen dataclasses compared and hashed by structure.  Each
+node keeps its hash after the first call (``_cached_hash``), which is sound
+only because nodes are immutable: no code changes a node's fields, not
+even through ``object.__setattr__``.  A stored hash includes the hashes
+of ``str`` fields, which differ between processes, so it holds within one
+process only; nothing pickles terms.
 """
 
 from __future__ import annotations
@@ -79,15 +86,43 @@ def fmt_weight(w: Weight) -> str:
 
 
 class Term:
+    # the structural hash, stored by _cached_hash on first use; a class
+    # attribute without an annotation, so never a dataclass field
+    _hash = None
+
     def __str__(self):
         return pretty(self)
 
 
+def _cached_hash(cls):
+    """Keep a node's generated structural hash after its first call.
+
+    The frozen-dataclass ``__hash__`` hashes the tuple of the fields, so it
+    walks the whole tree under the node on every dict lookup.  Nodes are
+    immutable, so the value never changes; it is stored on the instance,
+    outside the fields, so ``repr``, ``==`` and ``dataclasses.fields`` do
+    not see it.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_cached_hash
 @dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Lam(Term):
     var: str
@@ -95,18 +130,21 @@ class Lam(Term):
     body: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class DApp(Term):
     fn: Term
     arg: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class ZeroTerm(Term):
     pass
@@ -115,6 +153,7 @@ class ZeroTerm(Term):
 ZERO_TERM = ZeroTerm()
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Sum(Term):
     terms: Tuple[Term, ...]
@@ -140,12 +179,14 @@ def make_sum(*terms: Term) -> Term:
     return Sum(tuple(uniq))
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Scalar(Term):
     weight: Weight
     body: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Choice(Term):
     label: str
@@ -161,21 +202,25 @@ class Choice(Term):
         return self.label + "'"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Numeral(Term):
     n: int
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Succ(Term):
     arg: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Pred(Term):
     arg: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Ifz(Term):
     cond: Term
@@ -183,6 +228,7 @@ class Ifz(Term):
     other: Term
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Fix(Term):
     body: Term

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from tropcalc import cli
 from tropcalc.cli import main, parse_coeffs, parse_params, parse_series
 
 TERMS = os.path.join(os.path.dirname(__file__), "..", "terms")
@@ -240,3 +241,34 @@ def test_interpret_maxbag_has_no_effect(capsys):
         assert main(["interpret", f"{TERMS}/twice.lam", "--maxbag", maxbag]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+# subcommands whose defaults differ (--eps None for bestcase, 1/100 for
+# adequacy; plot's --format), after a usage error and in an order where a
+# default left behind by one call would change the next one's output
+PARSER_SEQUENCE = [
+    ["mle", "--grid"],
+    ["bestcase", f"{TERMS}/gen.lam", "--depth", "12"],
+    ["adequacy", f"{TERMS}/loop.lam", "--target", "0"],
+    ["bestcase", f"{TERMS}/gen.lam", "--depth", "12"],
+    ["plot", "--coeffs", "0:1,1:0", "--steps", "4", "--format", "tsv"],
+    ["plot", "--coeffs", "0:1,1:0", "--steps", "4"],
+]
+
+
+def test_parser_reused_without_leaking_state(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    shared = []
+    for argv in PARSER_SEQUENCE:
+        code = main(argv)
+        shared.append((code, *capsys.readouterr()))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        code = main(argv)
+        fresh.append((code, *capsys.readouterr()))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0]
+    # adequacy's eps would truncate this series to its two optima
+    assert len(json.loads(shared[3][1])["series"]["monomials"]) > 2
+    assert shared[4][1].startswith("0\t") and shared[5][1].startswith("{")

@@ -15,6 +15,7 @@ from tropcalc.model import Caps
 from tropcalc.reduction import (
     BadAddress,
     WeightedStep,
+    _choice_leaves,
     adequacy_check,
     best_case,
     mle,
@@ -99,6 +100,11 @@ def naive_paths(t, goal, depth):
         ("(True (+p) False) (+q) 2", 0),
         ("succ (a . (1 + b . 2))", 3),
         ("ifz (True (+p) False) 4 5", 5),
+        # fix, beta and constant-scalar steps: best_case skips the product
+        # by the unit weight, the naive oracle always multiplies
+        ("Y (\\x:Nat. 0 (+p) (a . x))", 0),
+        ("(\\n:Nat. succ n) (b . 1)", 2),
+        ("(\\n:Nat. 1/2 . succ n) (0 . 1 + 0.25 . (3/2 . 2))", 2),
     ],
 )
 def test_best_case_matches_naive(src, target):
@@ -156,11 +162,13 @@ def test_outcome_series_recursive_collapse():
     assert s.truncate(Fraction(1, 100)) == TropSeries.parameter("p")
 
 
-def random_choice_tree(rng, depth):
+def random_choice_tree(rng, depth, labels="p"):
     if depth == 0 or rng.random() < 0.3:
         return Numeral(rng.randint(0, 1))
     return Choice(
-        "p", random_choice_tree(rng, depth - 1), random_choice_tree(rng, depth - 1)
+        rng.choice(labels) if len(labels) > 1 else labels,  # one label draws nothing
+        random_choice_tree(rng, depth - 1, labels),
+        random_choice_tree(rng, depth - 1, labels),
     )
 
 
@@ -172,6 +180,21 @@ def brute_neg_log(t, outcome_n, p):
             -math.log(1 - p) + brute_neg_log(t.right, outcome_n, p),
         )
     return 0.0 if t == Numeral(outcome_n) else math.inf
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_choice_leaves_carry_path_monomials(seed):
+    rng = random.Random(seed)
+    t = random_choice_tree(rng, 4, labels="pq")
+    leaves = _choice_leaves(t)
+    for omega, leaf, degrees in leaves:
+        assert mono(degrees) == path_likelihood(t, omega)
+        node = t
+        for d in omega:
+            node = node.left if d == "l" else node.right
+        assert node is leaf
+    omegas = [omega for omega, _, _ in leaves]
+    assert omegas == sorted(omegas)  # left to right
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -142,6 +142,27 @@ def test_roundtrip(dialect, data):
     assert parse(pretty(t), dialect) == t
 
 
+@pytest.mark.parametrize("dialect", ["stlc", "stdlc", "pcfl"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_cached_hash(dialect, data):
+    t = data.draw(term_strategy(dialect))
+    before = parse(pretty(t), dialect)  # the same term, built independently
+    h = hash(t)
+    assert h == hash(before) == hash(t)
+    assert hash(parse(pretty(t), dialect)) == h  # after t has been hashed
+    assert t == parse(pretty(t), dialect)  # hashed == never hashed
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        fields = dataclasses.fields(u)
+        # the generated structural hash: the hash of the tuple of the fields
+        assert hash(u) == hash(tuple(getattr(u, f.name) for f in fields))
+        assert all(not f.name.startswith("_") for f in fields)
+        assert "_hash" not in repr(u) and str(hash(u)) not in repr(u)
+        todo.extend(children(u))
+
+
 def field_children(t):
     """Independent of `children`: the Term-valued dataclass fields, in order."""
     out = []
