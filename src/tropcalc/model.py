@@ -12,22 +12,25 @@ and `promotion_sum`, the one coKleisli sum, combines it with a head over
 the split of the context mu = mu0 + rho.  `linear_sum` is that sum with a
 one-point abag; D[M,N], ifz and the star operator use it.
 
-The sum enumerates one of two sides.  Reach-driven, it asks the head about
-every bag over the points the argument reaches from rho
-(`TropMatrix.reach`).  Head-driven, for application only, it visits the
-function's finite row at mu0 (`TropMatrix.row`), memoized on the function
-matrix so that every Y level sharing it shares the row.  A split takes the
-row when it already exists, or when the reach covers the argument's whole
-codomain, where both sides cost about the same; anything else stays
-reach-driven, because a row over an arrow-valued codomain can cost far
-more than the reach.
+A matrix memoizes its entries, promotions, supports (the finite entries at
+a bag, `finite_points`) and reaches (the points finite at some part of a
+bag, `reach`).  The sum enumerates one of two sides.  Reach-driven, it asks
+the head about every bag over the argument's reach from rho.  Head-driven,
+for application only, it walks the function's support at mu0, which every
+Y level sharing the function shares.  A split takes the support when it is
+memoized, or when the reach covers the argument's whole codomain, where
+both sides cost about the same; anything else stays reach-driven, because
+a support over an arrow-valued codomain can cost far more than the reach.
+
+Scalar, choice and sum are one `weighted_min` matrix each: w . M adds w to
+every entry of M, M + N is the entrywise min, M (+p) N is p . M + p' . N.
 
 Y M is the infimum of its Kleene chain, each approximant one application
 of M to the one before.  Its matrix builds the approximants on demand and
-fills their finite rows at the parts of the demanded bag from the bottom
-up, so a demand never recurses through the chain.  It stops at the first
-approximant whose rows there equal those of the approximant below: each
-approximant reads only those rows, and every entry of a coKleisli sum is
+fills their supports at the parts of the demanded bag from the bottom up,
+so a demand never recurses through the chain.  It stops at the first
+approximant whose supports there equal those of the approximant below: each
+approximant reads only those supports, and every entry of a coKleisli sum is
 stored reduced, so the chain has stabilized exactly.  f_max is an upper
 limit, which a chain that stabilizes never reaches.
 
@@ -127,6 +130,7 @@ class SemSet:
         return bags_upto(self.points(), k)
 
 
+@dataclass(frozen=True)
 class UnitSet(SemSet):
     def points(self):
         return ("*",)
@@ -134,16 +138,10 @@ class UnitSet(SemSet):
     def __repr__(self):
         return "UnitSet"
 
-    def __eq__(self, other):
-        return isinstance(other, UnitSet)
 
-    def __hash__(self):
-        return hash("UnitSet")
-
-
+@dataclass(frozen=True)
 class NatSet(SemSet):
-    def __init__(self, n_max: int):
-        self.n_max = n_max
+    n_max: int
 
     def points(self):
         return tuple(range(self.n_max + 1))
@@ -151,49 +149,38 @@ class NatSet(SemSet):
     def __repr__(self):
         return f"NatSet({self.n_max})"
 
-    def __eq__(self, other):
-        return isinstance(other, NatSet) and other.n_max == self.n_max
 
-    def __hash__(self):
-        return hash(("NatSet", self.n_max))
-
-
+@dataclass(frozen=True)
 class ArrowSet(SemSet):
     """Points (bag over dom of size <= k, codomain point)."""
 
-    def __init__(self, dom: SemSet, cod: SemSet, k: int):
-        self.dom, self.cod, self.k = dom, cod, k
-        self._pts: Optional[tuple] = None
+    dom: SemSet
+    cod: SemSet
+    k: int
+
+    @functools.cached_property
+    def _points(self) -> tuple:
+        return tuple(
+            ("=>", bag, b)
+            for bag in self.dom.bags(self.k)
+            for b in self.cod.points()
+        )
 
     def points(self):
-        if self._pts is None:
-            self._pts = tuple(
-                ("=>", bag, b)
-                for bag in self.dom.bags(self.k)
-                for b in self.cod.points()
-            )
-        return self._pts
+        return self._points
 
     def __repr__(self):
         return f"ArrowSet({self.dom!r}, {self.cod!r}, k={self.k})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ArrowSet)
-            and other.dom == self.dom
-            and other.cod == self.cod
-            and other.k == self.k
-        )
 
-    def __hash__(self):
-        return hash(("ArrowSet", self.dom, self.cod, self.k))
-
-
+@dataclass(frozen=True)
 class SumSet(SemSet):
     """Tagged disjoint union; interprets contexts and products of objects."""
 
-    def __init__(self, components: Iterable[SemSet]):
-        self.components = tuple(components)
+    components: Tuple[SemSet, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
 
     def points(self):
         return tuple(
@@ -204,12 +191,6 @@ class SumSet(SemSet):
 
     def __repr__(self):
         return f"SumSet{self.components!r}"
-
-    def __eq__(self, other):
-        return isinstance(other, SumSet) and other.components == self.components
-
-    def __hash__(self):
-        return hash(("SumSet", self.components))
 
 
 def tag_bag(i: int, bag: tuple) -> tuple:
@@ -250,7 +231,6 @@ class TropMatrix:
         self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
         self._reach: Dict[tuple, list] = {}
-        self._rows: Dict[tuple, dict] = {}
 
     def entry(self, bag: tuple, b) -> TropSeries:
         key = (bag, b)
@@ -281,17 +261,6 @@ class TropMatrix:
                 for a, _ in self.finite_points(part):
                     reach.add(a)
             got = self._reach[rho] = sorted(reach)
-        return got
-
-    def row(self, bag: tuple) -> dict:
-        """An arrow-valued matrix's finite entries at bag, grouped by the
-        arrow point's codomain point: b -> [(abag, entry at <abag, b>)]."""
-        got = self._rows.get(bag)
-        if got is None:
-            got = {}
-            for (_, abag, b), h in self.finite_points(bag):
-                got.setdefault(b, []).append((abag, h))
-            self._rows[bag] = got
         return got
 
     def promoted(self, rho: tuple, abag: tuple) -> TropSeries:
@@ -370,10 +339,12 @@ def promotion_sum(
     Two enumerations give the same sum.  The reach-driven one asks the head
     about every bag over t.reach(rho).  The head-driven one visits only the
     finite heads: ``row=(m, b)`` says head(mu0, abag) is m's entry at
-    (mu0, ("=>", abag, b)), so those heads are m.row(mu0)[b].  A split takes
-    the head-driven path when that row exists, and builds it when the reach
-    covers every point of t.cod, since the reach bags then cost as much to
-    enumerate as the row; otherwise it takes the reach-driven one.
+    (mu0, ("=>", abag, b)), so those heads are the points of m's support
+    m.finite_points(mu0) whose codomain point is b.  A split takes the
+    head-driven path when that support is already memoized, and builds it
+    when the reach covers every point of t.cod, since the reach bags then
+    cost as much to enumerate as the support; otherwise it takes the
+    reach-driven one.
 
     The sum is returned reduced (`TropSeries.reduced`): the same function
     without its dominated monomials.  Reduction commutes with min and +, so
@@ -384,11 +355,11 @@ def promotion_sum(
         m, b = row
         n_cod = len(t.cod.points())
     for mu0, rho in sub_bags(mu):
-        # a split whose row already exists skips the reach
-        pts = None if row is not None and mu0 in m._rows else reach(rho)
+        # a split whose support already exists skips the reach
+        pts = None if row is not None and mu0 in m._support else reach(rho)
         if pts is None or (row is not None and len(pts) == n_cod):
-            for abag, h in m.row(mu0).get(b, ()):
-                if len(abag) > k or (rho and not abag):
+            for (_, abag, hb), h in m.finite_points(mu0):
+                if hb != b or len(abag) > k or (rho and not abag):
                     continue
                 promo = t.promoted(rho, abag)
                 if not promo.is_empty:
@@ -426,19 +397,6 @@ def kleisli_compose(s: TropMatrix, t: TropMatrix, k: int) -> TropMatrix:
 
 
 # ------------------------------------------------------------ CCC combinators
-
-
-def pairing(f: TropMatrix, g: TropMatrix) -> TropMatrix:
-    """<f,g> : !X -> Y+Z from f : !X -> Y and g : !X -> Z."""
-    if f.dom != g.dom:
-        raise ShapeMismatch("pairing needs a shared domain")
-    cod = SumSet((f.cod, g.cod))
-
-    def fn(bag, b):
-        tag, i, p = b
-        return f.entry(bag, p) if i == 0 else g.entry(bag, p)
-
-    return TropMatrix(f.dom, cod, fn)
 
 
 def ev(a: SemSet, b: SemSet, k: int) -> TropMatrix:
@@ -523,13 +481,21 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int) -> TropMatrix:
     return TropMatrix(fm.dom, fm.cod.cod, fn)
 
 
-def _scale(m: TropMatrix, w: T.Weight) -> TropMatrix:
-    ws = weight_series(w)
-    return TropMatrix(m.dom, m.cod, lambda bag, b: m.entry(bag, b).tmul(ws))
+def weighted_min(parts: List[Tuple[TropMatrix, Optional[T.Weight]]]) -> TropMatrix:
+    """The entrywise min of the parts, folded left to right, where a part
+    (m, w) contributes m's entry times the weight's series and (m, None)
+    m's entry.  An empty entry is multiplied too, so its `vars` still name
+    the weight's variables."""
+    scaled = [(m, None if w is None else weight_series(w)) for m, w in parts]
 
+    def fn(bag, b):
+        out = None
+        for m, ws in scaled:
+            s = m.entry(bag, b) if ws is None else m.entry(bag, b).tmul(ws)
+            out = s if out is None else out.tmin(s)
+        return out
 
-def _mmin(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    return TropMatrix(a.dom, a.cod, lambda bag, pt: a.entry(bag, pt).tmin(b.entry(bag, pt)))
+    return TropMatrix(parts[0][0].dom, parts[0][0].cod, fn)
 
 
 def _ctx_types(ctx: list, dialect: str) -> list:
@@ -615,19 +581,14 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         live = [s for s in term.terms if not isinstance(s, T.ZeroTerm)]
         if not live:
             return TropMatrix.empty(dom, UnitSet())
-        parts = [_interp(s, ctx, dialect, caps) for s in live]
-        out = parts[0]
-        for p in parts[1:]:
-            out = _mmin(out, p)
-        return out
+        return weighted_min([(_interp(s, ctx, dialect, caps), None) for s in live])
 
     if isinstance(term, T.Scalar):
-        return _scale(_interp(term.body, ctx, dialect, caps), term.weight)
+        return weighted_min([(_interp(term.body, ctx, dialect, caps), term.weight)])
 
     if isinstance(term, T.Choice):
-        l = _scale(_interp(term.left, ctx, dialect, caps), term.w_left)
-        r = _scale(_interp(term.right, ctx, dialect, caps), term.w_right)
-        return _mmin(l, r)
+        sides = [(term.left, term.w_left), (term.right, term.w_right)]
+        return weighted_min([(_interp(s, ctx, dialect, caps), w) for s, w in sides])
 
     if isinstance(term, T.Numeral):
         if term.n > caps.n_max:
@@ -671,8 +632,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         def ifz_fn(mu, b):
             return linear_sum(lambda mu0, n: (tm if n == 0 else em).entry(mu0, b), cm, mu)
 
-        cod = em.cod if isinstance(term.then, T.ZeroTerm) else tm.cod
-        return TropMatrix(dom, cod, ifz_fn)
+        return TropMatrix(dom, tm.cod, ifz_fn)
 
     if isinstance(term, T.Fix):
         fm = _interp(term.body, ctx, dialect, caps)

@@ -420,8 +420,7 @@ def univariate_roots(f: TropSeries) -> list:
         hull.append(p)
     roots = []
     for (i, ci), (j, cj) in zip(hull, hull[1:]):
-        root = (ci - cj) / (j - i) if isinstance(ci - cj, Fraction) else (ci - cj) / (j - i)
-        roots.append((root, j - i))
+        roots.append(((ci - cj) / (j - i), j - i))
     roots.sort(key=lambda rc: rc[0], reverse=True)
     return roots
 

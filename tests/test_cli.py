@@ -212,6 +212,7 @@ def test_zero_cap_is_user_error(capsys):
 FLIP = "\\f:o->o->o. \\x:o. \\y:o. f y x"
 DDF = "\\f:o->o->o. \\x:o. D[D[f,x],x] 0"
 IFZ = "\\x:Nat. ifz (b . x) (c . succ x) (a . pred x)"
+OPEN_Y = "(\\n:Nat. Y (\\x:Nat. n (+p) (a . x))) 0"
 PINNED_STDOUT = [
     pytest.param(["interpret", f"{TERMS}/twice.lam", "--kmax", "4"],
                  "bbc2ab3ddb47e3aa1c175525161c64fc120528d029b4b828d00415c14367775a", id="twice"),
@@ -225,6 +226,16 @@ PINNED_STDOUT = [
                  "0d0f867661be6617921122631b91cdbf395089ea455961bb340715ae7a848672", id="gen"),
     pytest.param(["mle", f"{TERMS}/coin.lam", "--target", "1"],
                  "ed86113d88b85156089425f7f6a8e8808b0a2887b42cd3ab4436266aaa41c46b", id="coin"),
+    # the denotational `vars` list variables that no printed monomial has
+    # (["p", "p'"] and ["a", "p", "p'"] for min{p})
+    pytest.param(["adequacy", f"{TERMS}/loop.lam", "--target", "0"],
+                 "70e8d84a5c2b20c14f46cae1314aa68a99e673a02f43384bd87e4ea4d7a86c0b", id="loop"),
+    pytest.param(["adequacy", "--term", OPEN_Y, "--target", "0"],
+                 "bfdaf9b1e54bcd960c1ad42533883763c1a90624ad630987d65a54b5868da864", id="open-y"),
+    # each entry is one branch's weight times the other branch's empty entry,
+    # so its `vars` are ["p", "p'"] only if the empty entry is weighted too
+    pytest.param(["interpret", "--dialect", "pcfl", "--term", "1 (+p) 2"],
+                 "9acfae217e6d172e18ce0a842994e975972bed01c613a5210ba9a1397651408f", id="choice"),
 ]
 
 

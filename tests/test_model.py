@@ -1,5 +1,6 @@
 """Relational-model matrices, combinators and interpretation."""
 
+import functools
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from tropcalc.model import (
     sub_bags,
     uncurry,
     weight_series,
+    weighted_min,
 )
 
 TERMS = Path(__file__).resolve().parent.parent / "terms"
@@ -210,12 +212,13 @@ ARG_PTS = APP_ARG.points()
 
 
 def app_args(case):
-    """Arguments over APP_ARG for the three ways `_apply` can meet the
-    head-driven path: "full" reaches every point from every rho, so rows get
-    built; "partial" reaches one point only, so they never do; "reuse"
-    reaches every point exactly when rho holds the context point 1, so a
-    row built on such a rho is reused on a smaller reach."""
-    full_at = {"full": (), "partial": None, "reuse": (1,)}[case]
+    """Arguments over APP_ARG for the ways `_apply` can meet the head-driven
+    path: "full" reaches every point from every rho, so the function's
+    supports get built; "partial" and "support" reach one point only, so the
+    application never builds them; "reuse" reaches every point exactly when
+    rho holds the context point 1, so the support memo at mu0 built on such
+    a rho is reused on a smaller reach."""
+    full_at = {"full": (), "reuse": (1,)}.get(case)
     points = ARG_PTS if case == "full" else ARG_PTS[:1]
 
     def build(entries, coeffs):
@@ -232,10 +235,15 @@ def app_args(case):
     )
 
 
-@pytest.mark.parametrize("case", ["full", "partial", "reuse"])
+@pytest.mark.parametrize("case", ["full", "partial", "reuse", "support"])
 @settings(max_examples=40, deadline=None)
 @given(fm=sparse_matrices(APP_CTX, APP_FUN, max_bag=2, max_size=40), data=hst.data())
 def test_apply_head_driven_matches_split_enumeration(case, fm, data):
+    if case == "support":
+        # another consumer fills the function's support memo first, so the
+        # application walks it at those mu0 although the reach is partial
+        for mu0 in data.draw(hst.lists(hst.sampled_from(APP_CTX.bags(2)), unique=True)):
+            fm.finite_points(mu0)
     check_apply_oracle(fm, data.draw(app_args(case)))
 
 
@@ -393,6 +401,45 @@ def test_weighted_sum_of_numerals():
 def test_scalar_symbolic():
     m = interpret(parse("a . 3", "pcfl"), [], "pcfl")
     assert m.entry((), 3) == TropSeries.parameter("a")
+
+
+def weight_oracle(w):
+    return TropSeries.parameter(w) if isinstance(w, str) else TropSeries.constant(w)
+
+
+WEIGHTS = hst.one_of(
+    hst.sampled_from(["p", "p'", "a"]),
+    hst.fractions(min_value=0, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hst.lists(sparse_matrices(NatSet(1), NatSet(2)), min_size=2, max_size=3),
+    WEIGHTS,
+    WEIGHTS,
+)
+def test_weighted_min_matches_pairwise_formula(children, wl, wr):
+    """Scalar, choice and sum entries, empty ones included, equal the
+    products and mins of the scaled and summed matrices, `vars` too."""
+    L, R = children[:2]
+    cases = [
+        (weighted_min([(L, wl)]), lambda e: e(L).tmul(weight_oracle(wl))),
+        (
+            weighted_min([(L, wl), (R, wr)]),
+            lambda e: e(L).tmul(weight_oracle(wl)).tmin(e(R).tmul(weight_oracle(wr))),
+        ),
+        (
+            weighted_min([(c, None) for c in children]),
+            lambda e: functools.reduce(TropSeries.tmin, map(e, children)),
+        ),
+    ]
+    for got, formula in cases:
+        for bag in L.dom.bags(3):
+            for b in L.cod.points():
+                want = formula(lambda m: m.entry(bag, b))
+                assert got.entry(bag, b) == want, (bag, b)
+                assert got.entry(bag, b).vars == want.vars, (bag, b)
 
 
 def test_weight_series_built_once_per_weight():
