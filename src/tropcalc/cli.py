@@ -134,8 +134,7 @@ def cmd_interpret(args):
     caps = caps_from_args(args)
     m = interpret(t, [], args.dialect, caps)
     # a closed term's only context bag is the empty one
-    for pt in m.cod.points():
-        m.entry((), pt)
+    m.finite_points(())
     payload = matrix_to_json_dict(m)
     payload["boolean"] = check_boolean(m)
     emit(payload, f"{len(payload['entries'])} finite entries")

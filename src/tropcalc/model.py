@@ -22,6 +22,16 @@ memoized, or when the reach covers the argument's whole codomain, where
 both sides cost about the same; anything else stays reach-driven, because
 a support over an arrow-valued codomain can cost far more than the reach.
 
+A matrix also knows its live points (`live`, by default its codomain): the
+codomain points that can be finite at some bag, and the only ones
+`finite_points` asks about.  A lambda's arrow points are (abag, b), and abag
+holds one point per use of the bound variable, so its live points are the
+abags of at most `_copies` points, the static copy bound of the variable in
+the body (the counting part of non-idempotent intersection types), over the
+body's live points.  An application, and a Y, takes its arrow cap from the
+function's live points.  Live points are a subsequence of the codomain's,
+so supports keep their order and every sum its fold.
+
 Scalar, choice and sum are one `weighted_min` matrix each: w . M adds w to
 every entry of M, M + N is the entrywise min, M (+p) N is p . M + p' . N.
 
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -223,9 +234,18 @@ def sem_of_type(ty: T.Type, caps: Caps = DEFAULT_CAPS) -> SemSet:
 class TropMatrix:
     """Morphism !dom -> cod with demand-driven, memoized entries."""
 
-    def __init__(self, dom: SemSet, cod: SemSet, entry_fn: Callable[[tuple, object], TropSeries]):
+    def __init__(
+        self,
+        dom: SemSet,
+        cod: SemSet,
+        entry_fn: Callable[[tuple, object], TropSeries],
+        live: Optional[SemSet] = None,
+    ):
         self.dom = dom
         self.cod = cod
+        # the codomain points that can be finite at some bag; every other
+        # point of cod is INF at every bag
+        self.live = cod if live is None else live
         self._fn = entry_fn
         self._cache: Dict[tuple, TropSeries] = {}
         self._promoted: Dict[tuple, TropSeries] = {}
@@ -241,11 +261,12 @@ class TropMatrix:
         return got
 
     def finite_points(self, bag: tuple) -> list:
-        """Codomain points with a non-INF entry at this bag."""
+        """Codomain points with a non-INF entry at this bag, in the order of
+        cod.points(); only the live points are asked."""
         got = self._support.get(bag)
         if got is None:
             got = []
-            for b in self.cod.points():
+            for b in self.live.points():
                 s = self.entry(bag, b)
                 if not s.is_empty:
                     got.append((b, s))
@@ -520,11 +541,33 @@ def _ctx_set(ctx: list, caps: Caps) -> SumSet:
     return SumSet(sem_of_type(ty, caps) for _, ty in ctx)
 
 
+def _copies(t: T.Term, x: str):
+    """An upper bound on the copies of the variable x in the bag of a finite
+    entry of t's matrix (math.inf when there is none); a Lam rebinding x
+    hides it.  Each rule follows one entry function of `_interp`: an
+    application promotes up to k parts of its argument, D[M,N] one, and ifz
+    splits its bag between the condition and one branch."""
+    if isinstance(t, T.Var):
+        return 1 if t.name == x else 0
+    if isinstance(t, T.Lam):
+        return 0 if t.var == x else _copies(t.body, x)
+    if isinstance(t, T.App):
+        return _copies(t.fn, x) if _copies(t.arg, x) == 0 else math.inf
+    if isinstance(t, T.DApp):
+        return _copies(t.fn, x) + _copies(t.arg, x)
+    if isinstance(t, T.Ifz):
+        return _copies(t.cond, x) + max(_copies(t.then, x), _copies(t.other, x))
+    if isinstance(t, T.Fix):
+        return 0 if _copies(t.body, x) == 0 else math.inf
+    return max((_copies(s, x) for s in T.children(t)), default=0)
+
+
 def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
     dom = _ctx_set(ctx, caps)
 
     if isinstance(term, T.Var):
-        i = [x for x, _ in ctx].index(term.name)
+        # the innermost binding of the name
+        i = max(j for j, (x, _) in enumerate(ctx) if x == term.name)
         cod = sem_of_type(ctx[i][1], caps)
 
         def var_fn(bag, b):
@@ -541,6 +584,9 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         else:
             cap = caps.k_max
         cod = ArrowSet(aset, body.cod, cap)
+        # an entry is finite only at a live body point and at an abag of
+        # no more points than the body holds copies of the variable
+        live = ArrowSet(aset, body.live, min(cap, _copies(term.body, term.var)))
         n = len(ctx)
 
         def lam_fn(bag, pt):
@@ -550,13 +596,12 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
             inner = bag_add(bag, tag_bag(n, abag))
             return body.entry(inner, b)
 
-        return TropMatrix(dom, cod, lam_fn)
+        return TropMatrix(dom, cod, lam_fn, None if live == cod else live)
 
     if isinstance(term, T.App):
         fm = _interp(term.fn, ctx, dialect, caps)
         fa = _interp(term.arg, ctx, dialect, caps)
-        cap = fm.cod.k
-        return _apply(fm, fa, cap)
+        return _apply(fm, fa, fm.live.k)
 
     if isinstance(term, T.DApp):
         fm = _interp(term.fn, ctx, dialect, caps)
@@ -638,7 +683,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         fm = _interp(term.body, ctx, dialect, caps)
         if not isinstance(fm.cod, ArrowSet):
             raise ShapeMismatch("Y needs an arrow-typed body")
-        cap = fm.cod.k
+        cap = fm.live.k
         cod = fm.cod.cod
         levels = [TropMatrix.empty(dom, cod)]
         stop: Dict[tuple, TropMatrix] = {}

@@ -220,6 +220,11 @@ PINNED_STDOUT = [
                  "5d955e9a8e9cc2c34c7af635851f6df689bb5e6655877e7f457210bc7cf83ea0", id="flip"),
     pytest.param(["interpret", "--dialect", "stdlc", "--term", DDF, "--kmax", "2"],
                  "6e74d4fecdc128219e7d02ad6135864c4577705313c83017b02a4f8c85e83470", id="ddf"),
+    # the same digests as when every codomain point was probed
+    pytest.param(["interpret", "--term", FLIP, "--kmax", "3"],
+                 "3be0a546485cbdca281a23b178cb061312e0c16ebc01e31ba6b50a033f25bebe", id="flip-k3"),
+    pytest.param(["interpret", "--dialect", "stdlc", "--term", DDF, "--kmax", "3"],
+                 "827bb3de785147a8103e2a3896df723de447025567a3a9e5f9a8382e315dbe92", id="ddf-k3"),
     pytest.param(["interpret", "--dialect", "pcfl", "--term", IFZ],
                  "b944cf92c3738468789e2287d962ca6d7eaf6f86f1d649d4439de5e615333430", id="ifz"),
     pytest.param(["bestcase", f"{TERMS}/gen.lam", "--depth", "200"],
@@ -244,6 +249,16 @@ def test_pinned_stdout(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_shadowed_binder_is_the_innermost(capsys):
+    code, out = run(capsys, "adequacy", "--term", "(\\x:Nat. \\x:Nat. x) 1 2", "--target", "2")
+    assert code == 0 and out["equal"] is True
+    assert out["denotational"]["monomials"] == [{"coeff": "0", "deg": {}}]
+    code, out = run(capsys, "interpret", "--dialect", "pcfl", "--term", "\\x:o. \\x:Nat. x")
+    assert code == 0
+    assert out["codomain"] == "ArrowSet(UnitSet, ArrowSet(NatSet(8), NatSet(8), k=4), k=4)"
+    assert len(out["entries"]) == 9
 
 
 def test_interpret_maxbag_has_no_effect(capsys):

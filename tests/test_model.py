@@ -1,6 +1,7 @@
 """Relational-model matrices, combinators and interpretation."""
 
 import functools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -578,6 +579,86 @@ def test_fix_stops_where_chain_stabilizes(monkeypatch):
     assert n == 4 and list(got.values()) == climb[:4] + [TropSeries.empty()]
     n, got = count_levels(monkeypatch, CLIMB, Caps(n_max=4, f_max=1000), range(5))
     assert n == 6 and list(got.values()) == climb
+
+
+# --------------------------------------------- live points and copy bounds
+
+COPIES = [
+    ("x", "pcfl", 1),                          # Var naming x
+    ("y", "pcfl", 0),                          # another Var
+    ("\\x:Nat. x", "pcfl", 0),                 # a Lam rebinding x
+    ("\\y:Nat. ifz x y y", "pcfl", 1),          # a Lam binding another name
+    ("f x", "stlc", math.inf),                 # App, x in the argument
+    ("x y", "stlc", 1),                        # App, x in the function only
+    ("D[D[f,x],x]", "stdlc", 2),               # DApp: both sides add
+    ("ifz x (succ x) (pred x)", "pcfl", 2),    # Ifz: condition + larger branch
+    ("ifz 0 x (ifz x x 1)", "pcfl", 2),
+    ("ifz x 0 1", "pcfl", 1),
+    ("Y (\\y:Nat. y)", "pcfl", 0),             # Fix without x
+    ("Y (\\y:Nat. x)", "pcfl", math.inf),      # Fix with x
+    ("a . x", "pcfl", 1),                      # scalar: its child
+    ("x + D[x,x]", "stdlc", 2),                # sum: the larger child
+    ("1 (+p) succ x", "pcfl", 1),              # choice, succ: max
+    ("pred x", "pcfl", 1),                     # pred: its child
+    ("3", "pcfl", 0),                          # numeral
+    ("0", "stdlc", 0),                         # the zero term
+]
+
+
+@pytest.mark.parametrize("src,dialect,want", COPIES)
+def test_copies_rules(src, dialect, want):
+    assert model._copies(parse(src, dialect), "x") == want
+
+
+FLIP = "\\f:o->o->o. \\x:o. \\y:o. f y x"
+DDF = "\\f:o->o->o. \\x:o. D[D[f,x],x] 0"
+SMALL_CAPS = Caps(k_max=2, n_max=3)
+# (source, dialect, caps, whether the term's live points are fewer than its
+# codomain's)
+LIVE_TERMS = [
+    pytest.param(FLIP, "stlc", Caps(k_max=2), True, id="flip"),
+    pytest.param(DDF, "stdlc", Caps(k_max=2), True, id="ddf"),
+    pytest.param("\\f:o->o. \\g:o->o. \\x:o. f (g x)", "stlc", Caps(k_max=2), True, id="compose"),
+    pytest.param("\\f:o->o->o. \\x:o. f x x", "stlc", Caps(k_max=2), True, id="dup"),
+    pytest.param("\\x:o. \\y:o. x", "stlc", Caps(k_max=2), True, id="k"),
+    pytest.param("\\f:(o->o)->o. f (\\x:o. x)", "stlc", Caps(k_max=2), True, id="apply-id"),
+    pytest.param("\\f:o->o. \\x:o. f (f x)", "stlc", Caps(k_max=2), False, id="church2"),
+    pytest.param("\\x:Nat. ifz (b . x) (c . succ x) (a . pred x)", "pcfl", Caps(k_max=3, n_max=3), True, id="ifz"),
+    pytest.param("\\x:Nat. \\y:Nat. ifz x y (succ y)", "pcfl", SMALL_CAPS, True, id="ifz-xy"),
+    pytest.param("\\x:Nat. 2 (+p) succ x", "pcfl", SMALL_CAPS, True, id="succ-body"),
+    pytest.param("\\x:Nat. 1 (+p) (a . pred x)", "pcfl", SMALL_CAPS, True, id="pred-body"),
+    pytest.param("\\n:Nat. Y (\\x:Nat. n (+p) x)", "pcfl", SMALL_CAPS, False, id="open-y"),
+    pytest.param("\\x:Nat. \\x:Nat. x", "pcfl", SMALL_CAPS, True, id="shadowed"),
+    pytest.param("\\f:!1 o -o o. \\g:!2 o -o o. \\x:o. f (g x)", "bstlc", Caps(), False,
+                 id="bstlc-compose"),
+]
+
+
+@pytest.mark.parametrize("src,dialect,caps,bounded", LIVE_TERMS)
+def test_finite_points_match_scan_of_every_point(monkeypatch, src, dialect, caps, bounded):
+    # oracle: an interpretation whose binders have no copy bound, so every
+    # matrix's live points are its codomain, asked about every point
+    term = parse(src, dialect)
+    m = interpret(term, [], dialect, caps)
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_copies", lambda t, x: math.inf)
+        brute = interpret(term, [], dialect, caps)
+    assert brute.live == brute.cod and m.cod == brute.cod
+    assert (m.live != m.cod) == bounded
+    want = [(b, brute.entry((), b)) for b in brute.cod.points()]
+    want = [(b, s) for b, s in want if not s.is_empty]
+    got = m.finite_points(())
+    assert want and [b for b, _ in got] == [b for b, _ in want]
+    for (b, s), (_, w) in zip(got, want):
+        assert s == w and s.vars == w.vars, b
+
+
+def test_live_points_are_a_prefix_of_the_codomain():
+    m = interpret(parse(FLIP), [], "stlc", Caps(k_max=3))
+    # f is used once, so its arrow slot holds bags of at most one point
+    assert m.live.k == 1 and m.cod.k == 3 and repr(m.cod).endswith("k=3)")
+    live = m.live.points()
+    assert m.cod.points()[: len(live)] == live
 
 
 # ------------------------------------------------------------- matrix_apply

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropcalc.values import INF, as_trop, is_inf, trop_add, trop_close, trop_dist, trop_mul
 from tropcalc.series import (
@@ -404,22 +404,21 @@ def test_truncation_sound_on_box(f, eps):
 # ---------------------------------------------------------------- roots
 
 
-def grid_root_oracle(f):
-    """Scan a fine grid for argmin changes; return root intervals."""
-    lo, hi, n = Fraction(1, 1000), Fraction(4), 4000
-    prev = None
-    breaks = []
-    for k in range(n + 1):
-        x = lo + (hi - lo) * Fraction(k, n)
-        best, arg = INF, None
-        for deg, c in f.coeffs.items():
-            v = c + deg.total * x
-            if v < best:
-                best, arg = v, deg.total
-        if prev is not None and arg != prev:
-            breaks.append((x - (hi - lo) / n, x))
-        prev = arg
-    return breaks
+def exact_root_oracle(f):
+    """The tropical roots read off the pairwise crossings: each pair of
+    monomials (i, c_i), (j, c_j) gives a candidate x = (c_i - c_j)/(j - i),
+    which is a root iff at least two monomials attain the min there; its
+    multiplicity is the largest attaining degree minus the smallest."""
+    mons = [(d.total, c) for d, c in f.coeffs.items()]
+    roots = {}
+    for (i, ci), (j, cj) in itertools.combinations(mons, 2):
+        x = (ci - cj) / (j - i)
+        vals = [(c + d * x, d) for d, c in mons]
+        best = min(v for v, _ in vals)
+        attaining = [d for v, d in vals if v == best]
+        if len(attaining) >= 2:
+            roots[x] = max(attaining) - min(attaining)
+    return sorted(roots.items(), reverse=True)
 
 
 def test_roots_geometric():
@@ -449,18 +448,14 @@ def test_roots_edge_cases():
         max_size=6,
     )
 )
+# two roots 1/1000 apart, which a grid of step 1/1000 cannot separate
+@example([(1, Fraction(3096101, 774138)), (4, Fraction(1)), (5, Fraction(1, 4005))])
+# three monomials attaining the min at x = 1: one root of multiplicity 2
+@example([(0, Fraction(2)), (1, Fraction(1)), (2, Fraction(0))])
 @settings(max_examples=50)
-def test_roots_against_grid_oracle(mons):
+def test_roots_against_exact_oracle(mons):
     f = TropSeries(("x",), [(MultiDegree({"x": i}), c) for i, c in mons])
-    roots = univariate_roots(f)
-    breaks = grid_root_oracle(f)
-    in_range = [r for r, _ in roots if Fraction(1, 1000) < r < Fraction(4)]
-    assert len(in_range) == len(breaks)
-    for r, (a, b) in zip(sorted(in_range, reverse=True), reversed(breaks)):
-        assert a <= r <= b
-    degs = sorted(d.total for d in f.coeffs)
-    hull_span = sum(m for _, m in roots)
-    assert hull_span <= degs[-1] - degs[0]
+    assert univariate_roots(f) == exact_root_oracle(f)
 
 
 @given(
