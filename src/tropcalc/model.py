@@ -22,6 +22,14 @@ memoized, or when the reach covers the argument's whole codomain, where
 both sides cost about the same; anything else stays reach-driven, because
 a support over an arrow-valued codomain can cost far more than the reach.
 
+A term's matrix has its context, a flat `SumSet` with one component per
+bound variable, as domain.  A lambda is `curry` of its body's matrix: the
+last component, its variable's, becomes the arrow slot.  `uncurry` undoes
+it for the semantic Taylor route.  Evaluation and the differential operator
+are oracles in the tests: application is ev after the pairing of function
+and argument, and D[M,N] is the differential operator on uncurry M followed
+by the one-point sum against N.
+
 A matrix also knows its live points (`live`, by default its codomain): the
 codomain points that can be finite at some bag, and the only ones
 `finite_points` asks about.  A lambda's arrow points are (abag, b), and abag
@@ -208,12 +216,10 @@ def tag_bag(i: int, bag: tuple) -> tuple:
     return tuple(("@", i, p) for p in bag)
 
 
-def untag_bag(bag: tuple) -> Dict[int, tuple]:
-    """Split a bag over a SumSet into per-component bags."""
-    out: Dict[int, list] = {}
-    for tag, i, p in bag:
-        out.setdefault(i, []).append(p)
-    return {i: tuple(sorted(v)) for i, v in out.items()}
+def split_component(bag: tuple, i: int) -> Tuple[tuple, tuple]:
+    """Split a bag over a SumSet into the bag of its other components'
+    points, still tagged, and the bag of component i's points, untagged."""
+    return tuple(p for p in bag if p[1] != i), tuple(p[2] for p in bag if p[1] == i)
 
 
 def sem_of_type(ty: T.Type, caps: Caps = DEFAULT_CAPS) -> SemSet:
@@ -420,69 +426,37 @@ def kleisli_compose(s: TropMatrix, t: TropMatrix, k: int) -> TropMatrix:
 # ------------------------------------------------------------ CCC combinators
 
 
-def ev(a: SemSet, b: SemSet, k: int) -> TropMatrix:
-    """Evaluation: 0 exactly at ([<rho,y>] + rho-tagged-arguments, y)."""
-    arrow = ArrowSet(a, b, k)
-    dom = SumSet((arrow, a))
-
-    def fn(bag, y):
-        funs = [p for p in bag if p[1] == 0]
-        args = tuple(sorted(p[2] for p in bag if p[1] == 1))
-        if len(funs) != 1:
-            return EMPTY_SERIES
-        pt = funs[0][2]
-        if pt == ("=>", args, y):
-            return ZERO_SERIES
-        return EMPTY_SERIES
-
-    return TropMatrix(dom, b, fn)
-
-
-def curry(f: TropMatrix, k: int) -> TropMatrix:
-    """Rebracket !(X+A) -> B into !X -> (A => B)."""
-    if not isinstance(f.dom, SumSet) or len(f.dom.components) != 2:
-        raise ShapeMismatch("curry needs a two-component domain")
-    x, a = f.dom.components
+def curry(f: TropMatrix, k: int, live: Optional[SemSet] = None) -> TropMatrix:
+    """Rebracket !(X_0+...+X_n) -> B into !(X_0+...+X_{n-1}) -> (X_n => B):
+    the last component of f's (flat context) domain becomes the arrow slot,
+    which holds bags of at most k points.  ``live`` is the result's live
+    points (by default its codomain)."""
+    if not isinstance(f.dom, SumSet) or not f.dom.components:
+        raise ShapeMismatch("curry needs a context domain")
+    *xs, a = f.dom.components
+    n = len(xs)
     cod = ArrowSet(a, f.cod, k)
 
     def fn(bag, pt):
         tag, abag, b = pt
-        inner = bag_add(tag_bag(0, bag), tag_bag(1, abag))
-        return f.entry(inner, b)
+        if len(abag) > k:
+            return EMPTY_SERIES
+        return f.entry(bag_add(bag, tag_bag(n, abag)), b)
 
-    return TropMatrix(x, cod, fn)
+    return TropMatrix(SumSet(xs), cod, fn, None if live == cod else live)
 
 
 def uncurry(f: TropMatrix) -> TropMatrix:
-    """Inverse rebracketing: !X -> (A => B) into !(X+A) -> B."""
-    if not isinstance(f.cod, ArrowSet):
-        raise ShapeMismatch("uncurry needs an arrow codomain")
-    a = f.cod.dom
-    dom = SumSet((f.dom, a))
+    """The inverse of `curry`: !X -> (A => B), X a context, into !(X+A) -> B."""
+    if not isinstance(f.dom, SumSet) or not isinstance(f.cod, ArrowSet):
+        raise ShapeMismatch("uncurry needs a context domain and an arrow codomain")
+    n = len(f.dom.components)
 
     def fn(bag, b):
-        split = untag_bag(bag)
-        xs = split.get(0, ())
-        abag = split.get(1, ())
+        xs, abag = split_component(bag, n)
         return f.entry(xs, ("=>", abag, b))
 
-    return TropMatrix(dom, f.cod.cod, fn)
-
-
-def diff_op(t: TropMatrix) -> TropMatrix:
-    """(Dt)_{mu + rho, b} = t_{rho + mu, b} when the second (linear)
-    component holds exactly one element, INF otherwise."""
-    dom = SumSet((t.dom, t.dom))
-
-    def fn(bag, b):
-        split = untag_bag(bag)
-        rho = split.get(0, ())
-        mu = split.get(1, ())
-        if len(mu) != 1:
-            return EMPTY_SERIES
-        return t.entry(bag_add(rho, mu), b)
-
-    return TropMatrix(dom, t.cod, fn)
+    return TropMatrix(SumSet(f.dom.components + (f.cod.dom,)), f.cod.cod, fn)
 
 
 # ------------------------------------------------------------- interpretation
@@ -500,6 +474,22 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int) -> TropMatrix:
         )
 
     return TropMatrix(fm.dom, fm.cod.cod, fn)
+
+
+def _dapp(fm: TropMatrix, fa: TropMatrix) -> TropMatrix:
+    """D[M,N] for fm : !G -> (A => B), fa : !G -> A;
+    D_{mu0+mu1,<rho,b>} = inf over a of fm_{mu0,<rho+[a],b>} + fa_{mu1,a}."""
+    if not isinstance(fm.cod, ArrowSet):
+        raise ShapeMismatch("differentiating a non-arrow matrix")
+    cap = fm.cod.k
+
+    def fn(mu, pt):
+        tag, rho, b = pt
+        if len(rho) + 1 > cap:
+            return EMPTY_SERIES
+        return linear_sum(lambda mu0, a: fm.entry(mu0, ("=>", bag_add(rho, (a,)), b)), fa, mu)
+
+    return TropMatrix(fm.dom, fm.cod, fn)
 
 
 def weighted_min(parts: List[Tuple[TropMatrix, Optional[T.Weight]]]) -> TropMatrix:
@@ -576,27 +566,15 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return TropMatrix(dom, cod, var_fn)
 
     if isinstance(term, T.Lam):
-        inner_ctx = ctx + [(term.var, term.ann)]
-        body = _interp(term.body, inner_ctx, dialect, caps)
-        aset = sem_of_type(term.ann, caps)
+        body = _interp(term.body, ctx + [(term.var, term.ann)], dialect, caps)
         if dialect == "bstlc":
             cap = T._infer_graded(dict(ctx), term)[0].grade
         else:
             cap = caps.k_max
-        cod = ArrowSet(aset, body.cod, cap)
         # an entry is finite only at a live body point and at an abag of
         # no more points than the body holds copies of the variable
-        live = ArrowSet(aset, body.live, min(cap, _copies(term.body, term.var)))
-        n = len(ctx)
-
-        def lam_fn(bag, pt):
-            tag, abag, b = pt
-            if len(abag) > cap:
-                return EMPTY_SERIES
-            inner = bag_add(bag, tag_bag(n, abag))
-            return body.entry(inner, b)
-
-        return TropMatrix(dom, cod, lam_fn, None if live == cod else live)
+        live = ArrowSet(body.dom.components[-1], body.live, min(cap, _copies(term.body, term.var)))
+        return curry(body, cap, live)
 
     if isinstance(term, T.App):
         fm = _interp(term.fn, ctx, dialect, caps)
@@ -604,19 +582,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return _apply(fm, fa, fm.live.k)
 
     if isinstance(term, T.DApp):
-        fm = _interp(term.fn, ctx, dialect, caps)
-        fa = _interp(term.arg, ctx, dialect, caps)
-        if not isinstance(fm.cod, ArrowSet):
-            raise ShapeMismatch("differentiating a non-arrow matrix")
-        cap = fm.cod.k
-
-        def dapp_fn(mu, pt):
-            tag, rho, b = pt
-            if len(rho) + 1 > cap:
-                return EMPTY_SERIES
-            return linear_sum(lambda mu0, a: fm.entry(mu0, ("=>", bag_add(rho, (a,)), b)), fa, mu)
-
-        return TropMatrix(dom, fm.cod, dapp_fn)
+        return _dapp(_interp(term.fn, ctx, dialect, caps), _interp(term.arg, ctx, dialect, caps))
 
     if isinstance(term, T.ZeroTerm):
         # the zero term: all-INF at every type; give it a throwaway shape

@@ -28,9 +28,9 @@ from .model import (
     interpret,
     linear_sum,
     matrix_apply,
+    split_component,
     tag_bag,
     uncurry,
-    untag_bag,
 )
 from .series import TropSeries
 from .values import INF, Trop, is_inf, trop_add, trop_dist, trop_mul
@@ -127,21 +127,22 @@ def star(f: TropMatrix, g: TropMatrix) -> TropMatrix:
     """(f * g)_{rho + mu, y} = inf over rho = rho' + rho'' and points x of
     g_{rho',x} + f_{rho'' + (mu+[x]), y}.
 
-    f : !(C+A) -> B differentiated in its A slot, fed by g : !C -> A.
+    f : !(C+A) -> B differentiated in its A slot, the last component of its
+    context, fed by g : !C -> A.
     """
-    if not isinstance(f.dom, SumSet) or len(f.dom.components) != 2:
-        raise ValueError("star needs a two-component domain")
-    if g.cod != f.dom.components[1]:
+    if not isinstance(f.dom, SumSet) or not f.dom.components:
+        raise ValueError("star needs a context domain")
+    n = len(f.dom.components) - 1
+    if g.cod != f.dom.components[n]:
         raise ValueError("the argument matrix must land in the linear slot")
 
     def fn(bag, y):
-        split = untag_bag(bag)
-        mu = split.get(1, ())
+        ctx, mu = split_component(bag, n)
 
         def head(rho, x):
-            return f.entry(bag_add(tag_bag(0, rho), tag_bag(1, bag_add(mu, (x,)))), y)
+            return f.entry(bag_add(rho, tag_bag(n, bag_add(mu, (x,)))), y)
 
-        return linear_sum(head, g, split.get(0, ()))
+        return linear_sum(head, g, ctx)
 
     return TropMatrix(f.dom, f.cod, fn)
 
@@ -152,11 +153,7 @@ def taylor_term(t: TropMatrix, s: TropMatrix, n: int) -> TropMatrix:
     f = uncurry(t)
     for _ in range(n):
         f = star(f, s)
-
-    def fn(bag, y):
-        return f.entry(tag_bag(0, bag), y)
-
-    return TropMatrix(t.dom, f.cod, fn)
+    return TropMatrix(t.dom, f.cod, f.entry)
 
 
 def taylor_sum(t: TropMatrix, s: TropMatrix, n_cap: int) -> TropMatrix:

@@ -213,6 +213,7 @@ FLIP = "\\f:o->o->o. \\x:o. \\y:o. f y x"
 DDF = "\\f:o->o->o. \\x:o. D[D[f,x],x] 0"
 IFZ = "\\x:Nat. ifz (b . x) (c . succ x) (a . pred x)"
 OPEN_Y = "(\\n:Nat. Y (\\x:Nat. n (+p) (a . x))) 0"
+BSTLC_TWICE = "\\f:!2 o -o o. \\x:o. f (f x)"
 PINNED_STDOUT = [
     pytest.param(["interpret", f"{TERMS}/twice.lam", "--kmax", "4"],
                  "bbc2ab3ddb47e3aa1c175525161c64fc120528d029b4b828d00415c14367775a", id="twice"),
@@ -241,6 +242,10 @@ PINNED_STDOUT = [
     # so its `vars` are ["p", "p'"] only if the empty entry is weighted too
     pytest.param(["interpret", "--dialect", "pcfl", "--term", "1 (+p) 2"],
                  "9acfae217e6d172e18ce0a842994e975972bed01c613a5210ba9a1397651408f", id="choice"),
+    # graded lambdas take their arrow caps from the inferred grades (3 and
+    # 4 here), not from --kmax
+    pytest.param(["interpret", "--dialect", "bstlc", "--term", BSTLC_TWICE],
+                 "45b9f5ace4ccd216d5ac95a00810ade675da4b9438a8efa8f5a3d82d0c25d245", id="bstlc-twice"),
 ]
 
 

@@ -11,31 +11,34 @@ from hypothesis import given, settings, strategies as hst
 from tropcalc.series import MultiDegree, TropSeries
 from tropcalc.values import INF
 from tropcalc import model
-from tropcalc.terms import Arrow, Fix, GradedArrow, Lam, NAT, O, children, parse
+from tropcalc.terms import Arrow, DApp, Fix, GradedArrow, Lam, NAT, O, children, parse, typecheck
 from tropcalc.model import (
     ArrowSet,
     Caps,
+    EMPTY_SERIES,
     NatSet,
     SumSet,
     TropMatrix,
     UnitSet,
     ZERO_SERIES,
     _apply,
+    _dapp,
     _interp,
     bag_add,
     bag_splits,
     bags_upto,
     check_boolean,
     curry,
-    diff_op,
-    ev,
     identity,
     interpret,
     kleisli_compose,
     linear_sum,
     matrix_apply,
     matrix_to_json_dict,
+    sem_of_type,
+    split_component,
     sub_bags,
+    tag_bag,
     uncurry,
     weight_series,
     weighted_min,
@@ -275,6 +278,30 @@ def test_compose_identity_and_empty():
 # ------------------------------------------------------------------ ev/curry
 
 
+def ev(a, b, k):
+    """Evaluation, the oracle for `_apply`: 0 exactly at
+    ([<abag,y>] + abag tagged as arguments, y)."""
+    dom = SumSet((ArrowSet(a, b, k), a))
+
+    def fn(bag, y):
+        funs, args = split_component(bag, 1)
+        if len(funs) != 1:
+            return EMPTY_SERIES
+        return ZERO_SERIES if funs[0][2] == ("=>", args, y) else EMPTY_SERIES
+
+    return TropMatrix(dom, b, fn)
+
+
+def pairing(fm, fa):
+    """<fm, fa> : !G -> (fm.cod + fa.cod)."""
+
+    def fn(mu, pt):
+        _, i, p = pt
+        return (fm, fa)[i].entry(mu, p)
+
+    return TropMatrix(fm.dom, SumSet((fm.cod, fa.cod)), fn)
+
+
 def test_ev_entries():
     e = ev(UnitSet(), UnitSet(), 3)
     # rho = empty: the function point alone
@@ -286,24 +313,72 @@ def test_ev_entries():
     assert e.entry((("@", 0, ID_PT),), STAR).is_empty
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sparse_matrices(APP_CTX, ArrowSet(APP_ARG, NatSet(1), 2), max_bag=2),
+    sparse_matrices(APP_CTX, APP_ARG, max_bag=2),
+)
+def test_apply_matches_ev_after_pairing(fm, fa):
+    # application at arrow cap k is ev after <fm, fa>, composed over bags
+    # of one function point and at most k arguments
+    e = ev(fm.cod.dom, fm.cod.cod, fm.cod.k)
+    for k in (1, 2):
+        app = _apply(fm, fa, k)
+        want = kleisli_compose(e, pairing(fm, fa), k + 1)
+        for mu in APP_CTX.bags(3):
+            for b in app.cod.points():
+                assert app.entry(mu, b) == want.entry(mu, b), (k, mu, b)
+
+
 def test_curry_uncurry_roundtrip():
     X, A, B = NatSet(1), UnitSet(), NatSet(1)
-    dom = SumSet((X, A))
-    f = TropMatrix.from_entries(
-        dom,
-        B,
-        {
-            ((("@", 0, 0), ("@", 1, STAR)), 1): Fraction(2),
-            ((("@", 1, STAR),), 0): Fraction(1),
-        },
-    )
-    g = uncurry(curry(f, k=3))
-    for bag, b, s in f.stored_entries():
-        assert g.entry(bag, b) == s
-    assert g.entry((("@", 0, 0),), 1).is_empty
+    two = {
+        ((("@", 0, 0), ("@", 1, STAR)), 1): Fraction(2),
+        ((("@", 1, STAR),), 0): Fraction(1),
+    }
+    # the shape of a lambda's body: the slot is the last of three components
+    three = {
+        ((("@", 0, 0), ("@", 1, STAR), ("@", 2, 1)), 1): Fraction(2),
+        ((("@", 2, 0), ("@", 2, 1)), 0): Fraction(1),
+        ((("@", 1, STAR), ("@", 1, STAR)), 0): Fraction(3),
+    }
+    for comps, table in [((X, A), two), ((X, A, NatSet(1)), three)]:
+        f = TropMatrix.from_entries(SumSet(comps), B, table)
+        c = curry(f, k=3)
+        assert c.dom == SumSet(comps[:-1]) and c.cod == ArrowSet(comps[-1], B, 3)
+        g = uncurry(c)
+        assert g.dom == f.dom and g.cod == f.cod
+        for (bag, b), v in table.items():
+            assert g.entry(bag, b) == TropSeries.constant(v)
+        for bag in f.dom.bags(3):
+            for b in B.points():
+                assert g.entry(bag, b) == f.entry(bag, b), (bag, b)
+        back = curry(g, k=3)
+        for bag in c.dom.bags(2):
+            for pt in c.cod.points():
+                assert back.entry(bag, pt) == c.entry(bag, pt), (bag, pt)
+    # the arrow slot holds at most k points, whatever the body's entry
+    assert curry(f, k=1).entry((), ("=>", (0, 1), 0)).is_empty
+    assert c.entry((), ("=>", (0, 1), 0)) == TropSeries.constant(1)
 
 
 # ------------------------------------------------------------------- diff_op
+
+
+def diff_op(t):
+    """The differential operator, the oracle for D[M,N]: (Dt)_{rho + [a], b}
+    = t_{rho + [a], b} over !(X + X) whose second, linear, component holds
+    exactly one point a, INF otherwise."""
+    dom = SumSet((t.dom, t.dom))
+
+    def fn(bag, b):
+        _, rho = split_component(bag, 0)
+        _, mu = split_component(bag, 1)
+        if len(mu) != 1:
+            return EMPTY_SERIES
+        return t.entry(bag_add(rho, mu), b)
+
+    return TropMatrix(dom, t.cod, fn)
 
 
 def test_diff_op():
@@ -315,6 +390,45 @@ def test_diff_op():
     assert d.entry((("@", 0, STAR), ("@", 0, STAR)), 0).is_empty
     de = diff_op(TropMatrix.empty(X, NatSet(0)))
     assert de.entry((("@", 1, STAR),), 0).is_empty
+
+
+def check_dapp_oracle(fm, fa, bags):
+    """D[fm, fa] against diff_op(uncurry fm) followed by the one-point sum
+    against fa, enumerated over bag_splits."""
+    got = _dapp(fm, fa)
+    d = diff_op(uncurry(fm))
+    n = len(fm.dom.components)
+    for mu in bags:
+        for tag, rho, b in got.cod.points():
+            want = EMPTY_SERIES
+            if len(rho) < fm.cod.k:
+                for mu0, mu1 in bag_splits(mu, 2):
+                    for a in fa.cod.points():
+                        head = bag_add(tag_bag(0, bag_add(mu0, tag_bag(n, rho))), tag_bag(1, (("@", n, a),)))
+                        want = want.tmin(d.entry(head, b).tmul(fa.entry(mu1, a)))
+            assert got.entry(mu, (tag, rho, b)) == pareto(want), (mu, rho, b)
+
+
+DAPP_CTX = SumSet((NatSet(1),))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sparse_matrices(DAPP_CTX, ArrowSet(NatSet(1), NatSet(1), 2), max_bag=2, max_size=20),
+    sparse_matrices(DAPP_CTX, NatSet(1), max_bag=2),
+)
+def test_dapp_matches_diff_op(fm, fa):
+    check_dapp_oracle(fm, fa, DAPP_CTX.bags(2))
+
+
+def test_dapp_matches_diff_op_on_ddf():
+    caps = Caps(k_max=2)
+    found = list(_subterms(parse(DDF, "stdlc"), [], DApp))
+    assert len(found) == 2
+    for dapp, ctx in found:
+        fm = _interp(dapp.fn, ctx, "stdlc", caps)
+        fa = _interp(dapp.arg, ctx, "stdlc", caps)
+        check_dapp_oracle(fm, fa, fm.dom.bags(2))
 
 
 # ------------------------------------------------------------- interpretation
@@ -386,6 +500,20 @@ def test_bstlc_graded_interpretation():
     # a bag exceeding the grade is outside the denotation
     over = ("=>", (STAR, STAR, STAR), STAR)
     assert m.entry(bag, over).is_empty
+
+
+BSTLC_TWICE = "\\f:!2 o -o o. \\x:o. f (f x)"
+
+
+def test_bstlc_lambda_codomain_is_inferred_grade():
+    # each graded lambda's arrow cap is its variable's inferred grade (3 for
+    # f, 4 for x), whatever --kmax says
+    term = parse(BSTLC_TWICE, "bstlc")
+    for k_max in (1, 5):
+        caps = Caps(k_max=k_max)
+        m = interpret(term, [], "bstlc", caps)
+        assert (m.cod.k, m.cod.cod.k) == (3, 4)
+        assert m.cod == sem_of_type(typecheck([], term, "bstlc"), caps)
 
 
 # --------------------------------------------------------------- pcfl terms
@@ -515,14 +643,14 @@ def test_cap_monotonicity():
     assert vals[0] >= vals[1] >= vals[2]
 
 
-def _fixes(t, ctx):
-    """Every Y subterm of t with its typing context."""
-    if isinstance(t, Fix):
+def _subterms(t, ctx, kind):
+    """Every subterm of t of the given class, with its typing context."""
+    if isinstance(t, kind):
         yield t, ctx
     if isinstance(t, Lam):
         ctx = ctx + [(t.var, t.ann)]
     for c in children(t):
-        yield from _fixes(c, ctx)
+        yield from _subterms(c, ctx, kind)
 
 
 # a chain that climbs one numeral per level: up to n_max + 1 levels differ
@@ -541,7 +669,7 @@ CLIMB = "Y (\\x:Nat. 0 (+p) succ x)"
 def test_fix_matches_lazy_kleene_chain(src, caps):
     # oracle: Y M as f_max nested lazy applications of M, each demand
     # recursing through the whole chain
-    found = list(_fixes(parse(src, "pcfl"), []))
+    found = list(_subterms(parse(src, "pcfl"), [], Fix))
     assert found
     for fix, ctx in found:
         got = _interp(fix, ctx, "pcfl", caps)

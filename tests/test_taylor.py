@@ -19,7 +19,6 @@ from tropcalc.model import (
     ZERO_SERIES,
     bag_add,
     bag_splits,
-    bags_upto,
     identity,
     interpret,
     matrix_apply,
@@ -114,7 +113,8 @@ def test_resource_nested():
 def random_pair(seed, caps):
     """Random f : !C -> (A => B), g : !C -> A on singleton ground sets."""
     rng = random.Random(seed)
-    C = A = B = UnitSet()
+    A = B = UnitSet()
+    C = SumSet((UnitSet(),))  # a one-variable context
     arrow = ArrowSet(A, B, caps.k_max)
     fe = {}
     for bag in C.bags(2):
@@ -157,7 +157,7 @@ def test_taylor_equation(seed):
     f, g = random_pair(seed, caps)
     direct = _apply(f, g, f.cod.k)
     approx = taylor_sum(f, g, 3)
-    for chi in bags_upto([STAR], 3):
+    for chi in f.dom.bags(3):
         d = direct.entry(chi, STAR)
         a = approx.entry(chi, STAR)
         o = partition_oracle(f, g, chi, STAR, 3)
@@ -171,16 +171,16 @@ def test_taylor_term_zero_is_plain_uncurry():
     caps = Caps(k_max=3)
     f, g = random_pair(3, caps)
     t0 = taylor_term(f, g, 0)
-    for chi in bags_upto([STAR], 2):
+    for chi in f.dom.bags(2):
         assert t0.entry(chi, STAR) == f.entry(chi, ("=>", (), STAR))
 
 
 def test_star_with_empty_argument():
     caps = Caps(k_max=3)
     f, _ = random_pair(1, caps)
-    g_empty = TropMatrix.empty(UnitSet(), UnitSet())
+    g_empty = TropMatrix.empty(f.dom, UnitSet())
     t1 = taylor_term(f, g_empty, 1)
-    for chi in bags_upto([STAR], 2):
+    for chi in f.dom.bags(2):
         assert t1.entry(chi, STAR).is_empty
 
 
