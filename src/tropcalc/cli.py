@@ -103,6 +103,19 @@ def term_from_args(args) -> T.Term:
     return T.parse(src, args.dialect)
 
 
+def count_arg(least: int):
+    """An argparse type: an int of at least `least`."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+
+    parse.__name__ = "count"
+    return parse
+
+
 def caps_from_args(args) -> Caps:
     return Caps(k_max=args.kmax, n_max=args.nmax, f_max=args.fixmax)
 
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("taylor", cmd_taylor, help="syntactic Taylor expansion of a term")
     term_opts(sp, "stlc")
-    sp.add_argument("--degree", type=int, default=2)
+    sp.add_argument("--degree", type=count_arg(0), default=2)
 
     sp = add("lipschitz", cmd_lipschitz, help="local Lipschitz constant of a series")
     sp.add_argument("--series")
@@ -328,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--center", required=True)
     sp.add_argument("--delta", default="1")
     sp.add_argument("--radius-mult", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=count_arg(0), default=200)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("bestcase", cmd_bestcase, help="minimum path weight to a numeral")
     term_opts(sp)
     sp.add_argument("--target", type=int, default=0)
-    sp.add_argument("--depth", type=int, default=24)
+    sp.add_argument("--depth", type=count_arg(0), default=24)
     sp.add_argument("--eps", default=None)
 
     sp = add("mle", cmd_mle, help="most likely bias for a weight series")
@@ -342,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--series")
     sp.add_argument("--coeffs")
     sp.add_argument("--target", type=int, default=0)
-    sp.add_argument("--depth", type=int, default=24)
+    sp.add_argument("--depth", type=count_arg(0), default=24)
 
     sp = add("adequacy", cmd_adequacy, help="denotational vs operational weight")
     term_opts(sp)
     caps_opts(sp)
     sp.add_argument("--target", type=int, default=0)
-    sp.add_argument("--depth", type=int, default=24)
+    sp.add_argument("--depth", type=count_arg(0), default=24)
     sp.add_argument("--eps", default="1/100")
 
     sp = add("plot", cmd_plot, help="sample a univariate series for plotting")
@@ -357,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs")
     sp.add_argument("--lo", default="0")
     sp.add_argument("--hi", default="1")
-    sp.add_argument("--steps", type=int, default=100)
+    # a step is the width (hi - lo) / steps, so at least one
+    sp.add_argument("--steps", type=count_arg(1), default=100)
 
     return p
 

@@ -13,14 +13,16 @@ the split of the context mu = mu0 + rho.  `linear_sum` is that sum with a
 one-point abag; D[M,N], ifz and the star operator use it.
 
 A matrix memoizes its entries, promotions, supports (the finite entries at
-a bag, `finite_points`) and reaches (the points finite at some part of a
-bag, `reach`).  The sum enumerates one of two sides.  Reach-driven, it asks
-the head about every bag over the argument's reach from rho.  Head-driven,
-for application only, it walks the function's support at mu0, which every
-Y level sharing the function shares.  A split takes the support when it is
+a bag, `finite_points`), reaches (the points finite at some part of a bag,
+`reach`) and generated candidates (below).  The sum enumerates one of two
+sides.  Reach-driven, it asks the head about every bag over the argument's
+reach from rho.  Head-driven, for application only, it walks the function's
+support at mu0, which every Y level sharing the function shares.  A split
+takes the support when the function generates, when the support is
 memoized, or when the reach covers the argument's whole codomain, where
 both sides cost about the same; anything else stays reach-driven, because
-a support over an arrow-valued codomain can cost far more than the reach.
+a probed support over an arrow-valued codomain can cost far more than the
+reach.
 
 A term's matrix has its context, a flat `SumSet` with one component per
 bound variable, as domain.  A lambda is `curry` of its body's matrix: the
@@ -39,6 +41,26 @@ the body (the counting part of non-idempotent intersection types), over the
 body's live points.  An application, and a Y, takes its arrow cap from the
 function's live points.  Live points are a subsequence of the codomain's,
 so supports keep their order and every sum its fold.
+
+Most matrices also generate their finite points instead of probing them.
+The relational points are non-idempotent intersection types, so the finite
+entries follow from the term's structure, by bounded type inference run
+backwards (de Carvalho, MSCS 2018).  `generate(fixed, free)` returns a
+superset of the (bag, point) pairs at which an entry can be finite, where
+bag is the fixed bag plus a bag over some free context components, each
+with a size cap.  Each rule follows one entry function: a variable gives
+its singleton bag, or every point of its type when its component is free;
+a numeral its point at the empty bag; succ and pred shift; `weighted_min`
+takes the union; the zero term gives nothing; an application takes the
+head's rows at each split times the argument's generated promotion
+(`generate_promoted`, the DP of `promoted`); D[M,N] the head's rows at
+rho + [a] times the argument's rows at a; and a lambda frees its slot with
+the cap of its live points.  A matrix generates only when its constructor
+has a rule and every child it reads generates; ifz and Y have none, so
+they, and every matrix built on them, probe their live points.  A
+generating matrix's support asks `entry` only at the candidates, in the
+order of its live points, so series, their `vars` and every printed byte
+are those of the probe.
 
 Scalar, choice and sum are one `weighted_min` matrix each: w . M adds w to
 every entry of M, M + N is the entrywise min, M (+p) N is p . M + p' . N.
@@ -246,6 +268,7 @@ class TropMatrix:
         cod: SemSet,
         entry_fn: Callable[[tuple, object], TropSeries],
         live: Optional[SemSet] = None,
+        gen: Optional[Callable[[tuple, tuple], Dict[object, set]]] = None,
     ):
         self.dom = dom
         self.cod = cod
@@ -253,7 +276,12 @@ class TropMatrix:
         # point of cod is INF at every bag
         self.live = cod if live is None else live
         self._fn = entry_fn
+        # gen(fixed, free): the candidates that `generate` memoizes, or None
+        # for a matrix without a rule, which probes its live points
+        self._gen = gen
         self._cache: Dict[tuple, TropSeries] = {}
+        self._generated: Dict[tuple, dict] = {}
+        self._generated_promoted: Dict[tuple, set] = {}
         self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
         self._reach: Dict[tuple, list] = {}
@@ -266,13 +294,53 @@ class TropMatrix:
             self._cache[key] = got
         return got
 
+    @property
+    def generates(self) -> bool:
+        return self._gen is not None
+
+    def generate(self, fixed: tuple, free: tuple = ()) -> Dict[object, set]:
+        """A superset of the finite entries at the bags fixed + (a bag over
+        the free components), as {point: set of such bags}.  ``free`` is a
+        sorted tuple of (component, cap): at most cap points of that
+        component, and ``fixed`` holds no point of a free component.  Only
+        a matrix that `generates` can answer; callers share the result and
+        must not mutate it."""
+        key = (fixed, free)
+        got = self._generated.get(key)
+        if got is None:
+            got = self._generated[key] = self._gen(fixed, free)
+        return got
+
+    def generate_promoted(self, fixed: tuple, free: tuple, abag: tuple) -> set:
+        """A superset of the bags rho = fixed + (a bag over the free
+        components) at which the promotion t^!(rho, abag) is finite: the
+        DP of `promoted` over the generated rows."""
+        if not abag:
+            return set() if fixed else {()}
+        key = (fixed, free, abag)
+        got = self._generated_promoted.get(key)
+        if got is None:
+            got = set()
+            a, tail = abag[0], abag[1:]
+            for part, rest in sub_bags(fixed):
+                firsts = self.generate(part, free).get(a)
+                if firsts:
+                    _add_sums(got, firsts, self.generate_promoted(rest, free, tail), free)
+            self._generated_promoted[key] = got
+        return got
+
     def finite_points(self, bag: tuple) -> list:
         """Codomain points with a non-INF entry at this bag, in the order of
-        cod.points(); only the live points are asked."""
+        cod.points(); only the live points are asked, and of those only the
+        generated ones when the matrix generates."""
         got = self._support.get(bag)
         if got is None:
             got = []
-            for b in self.live.points():
+            points = self.live.points()
+            if self.generates:
+                cands = self.generate(bag)
+                points = [b for b in points if cands.get(b)] if cands else ()
+            for b in points:
                 s = self.entry(bag, b)
                 if not s.is_empty:
                     got.append((b, s))
@@ -325,11 +393,34 @@ class TropMatrix:
             table[(tuple(sorted(bag)), b)] = (
                 v if isinstance(v, TropSeries) else TropSeries.constant(v)
             )
-        return cls(dom, cod, lambda bag, b: table.get((bag, b), EMPTY_SERIES))
+
+        def gen(fixed, free):
+            out: Dict[object, set] = {}
+            for (bag, b), s in table.items():
+                if not s.is_empty and _within(bag, fixed, free):
+                    out.setdefault(b, set()).add(bag)
+            return out
+
+        return cls(dom, cod, lambda bag, b: table.get((bag, b), EMPTY_SERIES), gen=gen)
 
     @classmethod
     def empty(cls, dom: SemSet, cod: SemSet) -> "TropMatrix":
-        return cls(dom, cod, lambda bag, b: EMPTY_SERIES)
+        return cls(dom, cod, lambda bag, b: EMPTY_SERIES, gen=lambda fixed, free: {})
+
+
+def _fits(bag: tuple, free: tuple) -> bool:
+    """Whether the context bag holds at most cap points of each free
+    component (i, cap)."""
+    return all(sum(1 for p in bag if p[1] == i) <= cap for i, cap in free)
+
+
+def _within(bag: tuple, fixed: tuple, free: tuple) -> bool:
+    """Whether bag is fixed plus a bag over the free components that fits
+    their caps."""
+    if not free:
+        return bag == fixed
+    comps = {i for i, _ in free}
+    return tuple(p for p in bag if p[1] not in comps) == fixed and _fits(bag, free)
 
 
 def identity(x: SemSet) -> TropMatrix:
@@ -368,9 +459,10 @@ def promotion_sum(
     finite heads: ``row=(m, b)`` says head(mu0, abag) is m's entry at
     (mu0, ("=>", abag, b)), so those heads are the points of m's support
     m.finite_points(mu0) whose codomain point is b.  A split takes the
-    head-driven path when that support is already memoized, and builds it
-    when the reach covers every point of t.cod, since the reach bags then
-    cost as much to enumerate as the support; otherwise it takes the
+    head-driven path when m generates, since its support then asks only
+    generated candidates; when that support is already memoized; and when
+    the reach covers every point of t.cod, since the reach bags then cost
+    as much to enumerate as the support.  Otherwise it takes the
     reach-driven one.
 
     The sum is returned reduced (`TropSeries.reduced`): the same function
@@ -382,8 +474,9 @@ def promotion_sum(
         m, b = row
         n_cod = len(t.cod.points())
     for mu0, rho in sub_bags(mu):
-        # a split whose support already exists skips the reach
-        pts = None if row is not None and mu0 in m._support else reach(rho)
+        # a generating head, or a split whose support already exists, skips
+        # the reach
+        pts = None if row is not None and (m.generates or mu0 in m._support) else reach(rho)
         if pts is None or (row is not None and len(pts) == n_cod):
             for (_, abag, hb), h in m.finite_points(mu0):
                 if hb != b or len(abag) > k or (rho and not abag):
@@ -436,6 +529,7 @@ def curry(f: TropMatrix, k: int, live: Optional[SemSet] = None) -> TropMatrix:
     *xs, a = f.dom.components
     n = len(xs)
     cod = ArrowSet(a, f.cod, k)
+    live = cod if live is None else live
 
     def fn(bag, pt):
         tag, abag, b = pt
@@ -443,7 +537,18 @@ def curry(f: TropMatrix, k: int, live: Optional[SemSet] = None) -> TropMatrix:
             return EMPTY_SERIES
         return f.entry(bag_add(bag, tag_bag(n, abag)), b)
 
-    return TropMatrix(SumSet(xs), cod, fn, None if live == cod else live)
+    def gen(fixed, free):
+        # the slot is one more free component, capped by the live points
+        out: Dict[object, set] = {}
+        for b, bags in f.generate(fixed, free + ((n, live.k),)).items():
+            for bag in bags:
+                rest, abag = split_component(bag, n)
+                out.setdefault(("=>", abag, b), set()).add(rest)
+        return out
+
+    return TropMatrix(
+        SumSet(xs), cod, fn, None if live == cod else live, gen if f.generates else None
+    )
 
 
 def uncurry(f: TropMatrix) -> TropMatrix:
@@ -473,7 +578,20 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int) -> TropMatrix:
             lambda mu0, abag: fm.entry(mu0, ("=>", abag, b)), fa, mu, arrow_cap, (fm, b)
         )
 
-    return TropMatrix(fm.dom, fm.cod.cod, fn)
+    def gen(fixed, free):
+        # the head's rows times the argument's promotion at their abag
+        out: Dict[object, set] = {}
+        for f0, f1 in sub_bags(fixed):
+            for (_, abag, b), heads in fm.generate(f0, free).items():
+                if len(abag) > arrow_cap:
+                    continue
+                rhos = fa.generate_promoted(f1, free, abag)
+                if rhos:
+                    _add_sums(out.setdefault(b, set()), heads, rhos, free)
+        return out
+
+    generates = fm.generates and fa.generates
+    return TropMatrix(fm.dom, fm.cod.cod, fn, gen=gen if generates else None)
 
 
 def _dapp(fm: TropMatrix, fa: TropMatrix) -> TropMatrix:
@@ -489,7 +607,31 @@ def _dapp(fm: TropMatrix, fa: TropMatrix) -> TropMatrix:
             return EMPTY_SERIES
         return linear_sum(lambda mu0, a: fm.entry(mu0, ("=>", bag_add(rho, (a,)), b)), fa, mu)
 
-    return TropMatrix(fm.dom, fm.cod, fn)
+    def gen(fixed, free):
+        # the head's rows at rho + [a] times the argument's rows at a
+        out: Dict[object, set] = {}
+        for f0, f1 in sub_bags(fixed):
+            heads = fm.generate(f0, free)
+            args = fa.generate(f1, free) if heads else {}
+            for (_, abag, b), mu0s in heads.items():
+                for i, a in enumerate(abag):
+                    mu1s = args.get(a)
+                    if mu1s and (i == 0 or abag[i - 1] != a):
+                        pt = ("=>", abag[:i] + abag[i + 1:], b)
+                        _add_sums(out.setdefault(pt, set()), mu0s, mu1s, free)
+        return out
+
+    generates = fm.generates and fa.generates
+    return TropMatrix(fm.dom, fm.cod, fn, gen=gen if generates else None)
+
+
+def _add_sums(out: set, lefts: Iterable, rights: Iterable, free: tuple) -> None:
+    """Add to out every sum of a left and a right bag that fits the caps."""
+    for left in lefts:
+        for right in rights:
+            mu = bag_add(left, right)
+            if _fits(mu, free):
+                out.add(mu)
 
 
 def weighted_min(parts: List[Tuple[TropMatrix, Optional[T.Weight]]]) -> TropMatrix:
@@ -506,7 +648,15 @@ def weighted_min(parts: List[Tuple[TropMatrix, Optional[T.Weight]]]) -> TropMatr
             out = s if out is None else out.tmin(s)
         return out
 
-    return TropMatrix(parts[0][0].dom, parts[0][0].cod, fn)
+    def gen(fixed, free):
+        out: Dict[object, set] = {}
+        for m, _ in parts:
+            for b, bags in m.generate(fixed, free).items():
+                out.setdefault(b, set()).update(bags)
+        return out
+
+    generates = all(m.generates for m, _ in parts)
+    return TropMatrix(parts[0][0].dom, parts[0][0].cod, fn, gen=gen if generates else None)
 
 
 def _ctx_types(ctx: list, dialect: str) -> list:
@@ -563,7 +713,14 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         def var_fn(bag, b):
             return ZERO_SERIES if bag == (("@", i, b),) else EMPTY_SERIES
 
-        return TropMatrix(dom, cod, var_fn)
+        def var_gen(fixed, free):
+            if fixed:
+                return {fixed[0][2]: {fixed}} if len(fixed) == 1 and fixed[0][1] == i else {}
+            if dict(free).get(i, 0) < 1:
+                return {}
+            return {b: {(("@", i, b),)} for b in cod.points()}
+
+        return TropMatrix(dom, cod, var_fn, gen=var_gen)
 
     if isinstance(term, T.Lam):
         body = _interp(term.body, ctx + [(term.var, term.ann)], dialect, caps)
@@ -609,17 +766,24 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         def num_fn(bag, m):
             return ZERO_SERIES if (bag == () and m == term.n) else EMPTY_SERIES
 
-        return TropMatrix(dom, cod, num_fn)
+        def num_gen(fixed, free):
+            return {} if fixed else {term.n: {()}}
+
+        return TropMatrix(dom, cod, num_fn, gen=num_gen)
 
     if isinstance(term, T.Succ):
         sub = _interp(term.arg, ctx, dialect, caps)
+        nmax = caps.n_max
 
         def succ_fn(bag, m):
             if m == 0:
                 return EMPTY_SERIES
             return sub.entry(bag, m - 1)
 
-        return TropMatrix(dom, sub.cod, succ_fn)
+        def succ_gen(fixed, free):
+            return {m + 1: bags for m, bags in sub.generate(fixed, free).items() if m < nmax}
+
+        return TropMatrix(dom, sub.cod, succ_fn, gen=succ_gen if sub.generates else None)
 
     if isinstance(term, T.Pred):
         sub = _interp(term.arg, ctx, dialect, caps)
@@ -633,7 +797,13 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
                 out = out.tmin(sub.entry(bag, 0))
             return out
 
-        return TropMatrix(dom, sub.cod, pred_fn)
+        def pred_gen(fixed, free):
+            out: Dict[object, set] = {}
+            for m, bags in sub.generate(fixed, free).items():
+                out.setdefault(max(m - 1, 0), set()).update(bags)
+            return out
+
+        return TropMatrix(dom, sub.cod, pred_fn, gen=pred_gen if sub.generates else None)
 
     if isinstance(term, T.Ifz):
         cm = _interp(term.cond, ctx, dialect, caps)

@@ -115,9 +115,13 @@ def best_case(term: T.Term, target, depth_cap: int) -> TropSeries:
     per-path enumeration.  The result is an upper bound of the true
     infimum, non-increasing in depth_cap; an unreachable target gives the
     empty (constantly infinite) series.
+
+    Each distinct state is stepped once per call: its reducts are kept in
+    `succ`, because a fixpoint reaches the same states at many depths.
     """
     goal = T.Numeral(_num(target))
     frontier: Dict[T.Term, TropSeries] = {T.translate_prob(term): ZERO_W}
+    succ: Dict[T.Term, List[Tuple[T.Term, WeightedStep]]] = {}
     best = TropSeries.empty()
     for _ in range(depth_cap + 1):
         nxt: Dict[T.Term, TropSeries] = {}
@@ -125,7 +129,10 @@ def best_case(term: T.Term, target, depth_cap: int) -> TropSeries:
             if t == goal:
                 best = best.tmin(w)
                 continue
-            for t2, ws in step(t):
+            steps = succ.get(t)
+            if steps is None:
+                steps = succ[t] = step(t)
+            for t2, ws in steps:
                 # the unit's product is w itself: same coefficients and vars
                 acc = w if ws.weight is ZERO_W else w.tmul(ws.weight)
                 nxt[t2] = acc.tmin(nxt[t2]) if t2 in nxt else acc

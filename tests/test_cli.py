@@ -201,6 +201,28 @@ def test_lipschitz_independent_of_monomial_order(capsys):
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bestcase", "--term", "0", "--target", "0", "--depth", "-1"],
+    ["adequacy", "--term", "0", "--target", "0", "--depth", "-1"],
+    ["mle", "--term", "0", "--depth", "-1"],
+    ["plot", "--coeffs", "0:1,1:0", "--steps", "-2"],
+    ["plot", "--coeffs", "0:1,1:0", "--steps", "0"],
+    ["lipschitz", "--coeffs", "0:1,1:0", "--center", "x=1", "--samples", "-5"],
+    ["taylor", "--term", "x", "--degree", "-1"],
+    ["taylor", "--term", "x", "--degree", "two"],
+])
+def test_bad_count_is_user_error(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: argument {argv[-2]}: ")
+
+
+def test_zero_counts_are_accepted(capsys):
+    code, out = run(capsys, "bestcase", "--term", "0", "--target", "0", "--depth", "0")
+    assert code == 0 and out["series"]["monomials"] == [{"coeff": "0", "deg": {}}]
+    code, out = run(capsys, "plot", "--coeffs", "0:1,1:0", "--steps", "1")
+    assert code == 0 and len(out["rows"]) == 2
+
+
 def test_zero_cap_is_user_error(capsys):
     code = main(["interpret", f"{TERMS}/id.lam", "--kmax", "0"])
     assert code == 1
@@ -217,6 +239,9 @@ BSTLC_TWICE = "\\f:!2 o -o o. \\x:o. f (f x)"
 PINNED_STDOUT = [
     pytest.param(["interpret", f"{TERMS}/twice.lam", "--kmax", "4"],
                  "bbc2ab3ddb47e3aa1c175525161c64fc120528d029b4b828d00415c14367775a", id="twice"),
+    # recorded when every live codomain point was probed (1 s then)
+    pytest.param(["interpret", f"{TERMS}/twice.lam", "--kmax", "5"],
+                 "b9bc6e6233c2cee6663c353a96c238a5d451a6844a2f9ee7f4b44d7c9f26f24c", id="twice-k5"),
     pytest.param(["interpret", "--term", FLIP, "--kmax", "2"],
                  "5d955e9a8e9cc2c34c7af635851f6df689bb5e6655877e7f457210bc7cf83ea0", id="flip"),
     pytest.param(["interpret", "--dialect", "stdlc", "--term", DDF, "--kmax", "2"],

@@ -421,6 +421,46 @@ def test_dapp_matches_diff_op(fm, fa):
     check_dapp_oracle(fm, fa, DAPP_CTX.bags(2))
 
 
+def check_generated_cover(m, bags):
+    """Every finite entry of m at the bags is a generated candidate."""
+    for bag in bags:
+        cands = m.generate(bag)
+        for b in m.cod.points():
+            if not m.entry(bag, b).is_empty:
+                assert bag in cands.get(b, ()), (bag, b)
+
+
+# a context of two components, so that a curried slot leaves one behind
+GEN_CTX = SumSet((NatSet(1), UnitSet()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sparse_matrices(APP_CTX, ArrowSet(APP_ARG, NatSet(1), 2), max_bag=2),
+    sparse_matrices(APP_CTX, APP_ARG, max_bag=2),
+    sparse_matrices(DAPP_CTX, ArrowSet(NatSet(1), NatSet(1), 2), max_bag=2, max_size=20),
+    sparse_matrices(DAPP_CTX, NatSet(1), max_bag=2),
+)
+def test_generated_candidates_cover_apply_and_dapp(fm, fa, dm, da):
+    for k in (1, 2):
+        check_generated_cover(_apply(fm, fa, k), APP_CTX.bags(3))
+    check_generated_cover(_dapp(dm, da), DAPP_CTX.bags(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sparse_matrices(SumSet((NatSet(1), UnitSet(), UnitSet())), NatSet(1), max_bag=3),
+    sparse_matrices(GEN_CTX, ArrowSet(UnitSet(), NatSet(1), 2), max_bag=3),
+    sparse_matrices(GEN_CTX, UnitSet(), max_bag=3),
+)
+def test_generated_candidates_cover_curry(f, fm, fa):
+    # a curried slot is a free component, for the body's own rule: the
+    # entries of a matrix table, of a curried matrix, of an application
+    for k in (1, 2):
+        check_generated_cover(curry(curry(f, k), k), DAPP_CTX.bags(3))
+        check_generated_cover(curry(_apply(fm, fa, 2), k), DAPP_CTX.bags(3))
+
+
 def test_dapp_matches_diff_op_on_ddf():
     caps = Caps(k_max=2)
     found = list(_subterms(parse(DDF, "stdlc"), [], DApp))
@@ -759,26 +799,70 @@ LIVE_TERMS = [
     pytest.param("\\x:Nat. \\x:Nat. x", "pcfl", SMALL_CAPS, True, id="shadowed"),
     pytest.param("\\f:!1 o -o o. \\g:!2 o -o o. \\x:o. f (g x)", "bstlc", Caps(), False,
                  id="bstlc-compose"),
+    pytest.param((TERMS / "twice.lam").read_text(), "stlc", Caps(k_max=4), False, id="twice"),
+    pytest.param(FLIP, "stlc", Caps(k_max=3), True, id="flip-k3"),
+    pytest.param(DDF, "stdlc", Caps(k_max=3), True, id="ddf-k3"),
+    pytest.param("\\f:!2 o -o o. \\x:o. f (f x)", "bstlc", Caps(), False, id="bstlc-church2"),
 ]
+
+
+def probed_support(monkeypatch, term, ctx, dialect, caps, bag):
+    """The oracle for `finite_points(bag)`: an interpretation whose binders
+    have no copy bound and whose matrices generate nothing, so every matrix
+    asks every point of its codomain."""
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_copies", lambda t, x: math.inf)
+        mp.setattr(TropMatrix, "generates", property(lambda self: False))
+        brute = interpret(term, ctx, dialect, caps)
+        assert brute.live == brute.cod
+        want = [(b, brute.entry(bag, b)) for b in brute.cod.points()]
+    return brute, [(b, s) for b, s in want if not s.is_empty]
+
+
+def check_support(got, want):
+    assert [b for b, _ in got] == [b for b, _ in want]
+    for (b, s), (_, w) in zip(got, want):
+        assert s == w and s.vars == w.vars, b
 
 
 @pytest.mark.parametrize("src,dialect,caps,bounded", LIVE_TERMS)
 def test_finite_points_match_scan_of_every_point(monkeypatch, src, dialect, caps, bounded):
-    # oracle: an interpretation whose binders have no copy bound, so every
-    # matrix's live points are its codomain, asked about every point
     term = parse(src, dialect)
     m = interpret(term, [], dialect, caps)
-    with monkeypatch.context() as mp:
-        mp.setattr(model, "_copies", lambda t, x: math.inf)
-        brute = interpret(term, [], dialect, caps)
-    assert brute.live == brute.cod and m.cod == brute.cod
-    assert (m.live != m.cod) == bounded
-    want = [(b, brute.entry((), b)) for b in brute.cod.points()]
-    want = [(b, s) for b, s in want if not s.is_empty]
-    got = m.finite_points(())
-    assert want and [b for b, _ in got] == [b for b, _ in want]
-    for (b, s), (_, w) in zip(got, want):
-        assert s == w and s.vars == w.vars, b
+    brute, want = probed_support(monkeypatch, term, [], dialect, caps, ())
+    assert m.cod == brute.cod and (m.live != m.cod) == bounded
+    assert want
+    check_support(m.finite_points(()), want)
+
+
+@pytest.mark.parametrize("src", ["z x x", "\\y:o. z y x"])
+def test_open_finite_points_match_scan_at_context_bags(monkeypatch, src):
+    caps = Caps(k_max=2)
+    term = parse(src)
+    m = interpret(term, ZXX_CTX, "stlc", caps)
+    assert m.generates
+    finite = 0
+    for bag in m.dom.bags(3):
+        _, want = probed_support(monkeypatch, term, ZXX_CTX, "stlc", caps, bag)
+        check_support(m.finite_points(bag), want)
+        finite += len(want)
+    assert finite
+
+
+@pytest.mark.parametrize("src,generates", [
+    ("\\x:Nat. succ (pred x)", True),
+    ("\\x:Nat. 1 (+p) (a . x)", True),
+    ("(\\f:Nat->Nat. f 1) (\\n:Nat. succ n)", True),
+    ("\\x:Nat. ifz x 0 1", False),
+    ("\\x:Nat. Y (\\y:Nat. x)", False),
+    ("\\g:Nat->Nat. \\n:Nat. ifz n 0 (g (pred n))", False),
+    ("(\\f:Nat->Nat. f 1) (Y (\\g:Nat->Nat. \\n:Nat. ifz n 0 (g (pred n))))", False),
+    ("\\x:Nat. succ (ifz x 0 1) (+p) x", False),
+])
+def test_generators_only_over_generating_children(src, generates):
+    # ifz and Y have no rule, and neither has a matrix that reads one
+    m = interpret(parse(src, "pcfl"), [], "pcfl", SMALL_CAPS)
+    assert m.generates == generates
 
 
 def test_live_points_are_a_prefix_of_the_codomain():

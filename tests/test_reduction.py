@@ -130,6 +130,17 @@ def test_best_case_generator():
     assert s.eval({"a": Fraction(1), "b": Fraction(1)}) == 3
 
 
+def test_best_case_steps_each_state_once(monkeypatch):
+    from tropcalc import reduction
+
+    stepped = []
+    monkeypatch.setattr(reduction, "step", lambda t: stepped.append(t) or step(t))
+    assert best_case(M_GEN, 0, 24) == best_case(M_GEN, 0, 24)
+    # the generator's loop comes back to the same states at many depths
+    half = len(stepped) // 2
+    assert len(set(stepped[:half])) == half and stepped[half:] == stepped[:half]
+
+
 # -------------------------------------------------- likelihoods & outcomes
 
 
