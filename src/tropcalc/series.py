@@ -57,6 +57,14 @@ class MultiDegree:
                 acc[v] = acc.get(v, 0) + n
         self._items: Tuple[Tuple[str, int], ...] = tuple(sorted(acc.items()))
 
+    @classmethod
+    def _of(cls, items: Tuple[Tuple[str, int], ...]) -> "MultiDegree":
+        """Trusted constructor: `items` sorted by variable, without
+        duplicates, every exponent positive."""
+        out = object.__new__(cls)
+        out._items = items
+        return out
+
     def items(self) -> Tuple[Tuple[str, int], ...]:
         return self._items
 
@@ -82,9 +90,7 @@ class MultiDegree:
         for v, n in other._items:
             d[v] = d.get(v, 0) + n
         # sums of positive exponents: nothing for __init__ to check
-        out = object.__new__(MultiDegree)
-        out._items = tuple(sorted(d.items()))
-        return out
+        return MultiDegree._of(tuple(sorted(d.items())))
 
     def remove_one(self, var: str) -> "MultiDegree":
         d = dict(self._items)

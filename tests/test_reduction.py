@@ -10,12 +10,29 @@ from hypothesis import given, settings, strategies as hst
 
 from tropcalc.values import INF, is_inf
 from tropcalc.series import MultiDegree, TropSeries
-from tropcalc.terms import Choice, Numeral, Scalar, Sum, parse, translate_prob
+from tropcalc.terms import (
+    NAT,
+    Choice,
+    Fix,
+    Lam,
+    Numeral,
+    Pred,
+    Scalar,
+    Succ,
+    Sum,
+    Var,
+    parse,
+    translate_prob,
+)
 from tropcalc.model import Caps
 from tropcalc.reduction import (
+    ZERO_W,
     BadAddress,
     WeightedStep,
     _choice_leaves,
+    _cmp_log,
+    _log_bounds,
+    _num,
     adequacy_check,
     best_case,
     mle,
@@ -112,6 +129,83 @@ def test_best_case_matches_naive(src, target):
     assert best_case(t, target, 8) == naive_paths(t, Numeral(target), 8)
 
 
+def reference_best_case(term, target, depth_cap):
+    """The layered sweep over TropSeries labels: states keyed by term,
+    each stepped once, weights multiplied by tmul (the unit skipped) and
+    merged by tmin."""
+    goal = Numeral(_num(target))
+    frontier = {translate_prob(term): ZERO_W}
+    succ = {}
+    best = TropSeries.empty()
+    for _ in range(depth_cap + 1):
+        nxt = {}
+        for t, w in frontier.items():
+            if t == goal:
+                best = best.tmin(w)
+                continue
+            steps = succ.get(t)
+            if steps is None:
+                steps = succ[t] = step(t)
+            for t2, ws in steps:
+                acc = w if ws.weight is ZERO_W else w.tmul(ws.weight)
+                nxt[t2] = acc.tmin(nxt[t2]) if t2 in nxt else acc
+        if not nxt:
+            break
+        frontier = nxt
+    return best
+
+
+def typed(s):
+    """Everything a caller can see of a series: its monomials in order,
+    their coefficients with their types, and its vars."""
+    return [(d, c, type(c)) for d, c in s.coeffs.items()], s.vars
+
+
+# library-built weights: parameters, exact constants (zero among them),
+# floats, a float sum that overflows to INF, and INF itself
+weights = hst.one_of(
+    hst.sampled_from(["a", "b", "p"]),
+    hst.fractions(0, 3, max_denominator=4),
+    hst.sampled_from([Fraction(0), 0.0, 0.5, 1.0, 1.7e308, math.inf]),
+)
+
+
+def bodies(x):
+    """Terms over the numerals 0-2 and, when x is given, the variable x."""
+    leaves = hst.integers(0, 2).map(Numeral)
+    if x:
+        leaves = leaves | hst.just(Var(x))
+    return hst.recursive(
+        leaves,
+        lambda kids: hst.one_of(
+            hst.tuples(weights, kids).map(lambda wt: Scalar(*wt)),
+            hst.tuples(hst.sampled_from("pq"), kids, kids).map(lambda lr: Choice(*lr)),
+            hst.tuples(kids, kids).map(Sum),
+            kids.map(Succ),
+            kids.map(Pred),
+        ),
+        max_leaves=6,
+    )
+
+
+# choice trees, and Y generators whose body may loop back through x
+search_terms = bodies(None) | bodies("x").map(lambda b: Fix(Lam("x", NAT, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_terms, hst.integers(0, 2), hst.integers(0, 40))
+def test_best_case_matches_reference_sweep(t, target, depth):
+    assert typed(best_case(t, target, depth)) == typed(reference_best_case(t, target, depth))
+
+
+def test_best_case_deep_exponents():
+    # five steps per turn of the loop: past depth 1280 its exponents outgrow a byte
+    t = parse("Y (\\x:Nat. 0 (+p) (a . x))", "pcfl")
+    got = best_case(t, 0, 1300)
+    assert typed(got) == typed(reference_best_case(t, 0, 1300))
+    assert max(n for d in got.coeffs for _, n in d.items()) > 255
+
+
 def test_best_case_depth_monotone():
     t = parse("Y (\\x:Nat. 0 (+p) x)", "pcfl")
     point = {"p": Fraction(1), "p'": Fraction(1)}
@@ -171,6 +265,19 @@ def test_outcome_series_recursive_collapse():
     t = parse("Y (\\x:Nat. True (+p) x)", "pcfl")
     s = outcome_series(t, True, depth_cap=20)
     assert s.truncate(Fraction(1, 100)) == TropSeries.parameter("p")
+
+
+def test_outcome_series_steps_each_distinct_leaf_once(monkeypatch):
+    from tropcalc import reduction
+
+    stepped = []
+    monkeypatch.setattr(reduction, "step", lambda t: stepped.append(t) or step(t))
+    t = parse("(a . 1) (+p) ((a . 1) (+q) ((a . 1) (+p) 0))", "pcfl")
+    s = outcome_series(t, 1)
+    paths = [{"p": 1}, {"p'": 1, "q": 1}, {"p'": 1, "q'": 1, "p": 1}]
+    assert s == functools.reduce(TropSeries.tmin, (mono({"a": 1, **d}) for d in paths))
+    # the leaf a . 1 is searched once, not once per occurrence
+    assert len(stepped) == 2 and set(stepped) == {parse("a . 1", "pcfl"), Numeral(0)}
 
 
 def random_choice_tree(rng, depth, labels="p"):
@@ -301,6 +408,52 @@ def test_mle_shift_invariance():
 def test_mle_empty():
     p, active = mle(TropSeries.empty())
     assert math.isnan(p) and active is None
+
+
+@pytest.mark.parametrize(
+    "c,p_star,active",
+    [
+        # log(27/4) = 1.90954250488443845...: its float ties with both
+        # constants, so only an exact comparison orders them
+        (Fraction(19095425048844386, 10**16), Fraction(1, 3), {"p": 1, "p'": 2}),
+        (Fraction(19095425048844384, 10**16), Fraction(1, 2), {}),
+    ],
+)
+def test_mle_compares_optima_exactly(c, p_star, active):
+    s = mono({}, c).tmin(mono({"p": 1, "p'": 2}))
+    assert mle(s) == (p_star, MultiDegree(active))
+
+
+def test_mle_exact_tie_goes_to_first_degree():
+    # p + 2p' and 2p + p' both attain log(27/4)
+    s = mono({"p": 2, "p'": 1}).tmin(mono({"p": 1, "p'": 2}))
+    assert mle(s) == (Fraction(1, 3), MultiDegree({"p": 1, "p'": 2}))
+
+
+positive_rationals = hst.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_rationals, hst.sampled_from([1, 4, 16]))
+def test_log_bounds_bracket_log(q, terms):
+    lo, hi = _log_bounds(q, terms)
+    assert lo <= hi
+    assert float(lo) <= math.log(q) + 1e-12 and math.log(q) - 1e-12 <= float(hi)
+    lo2, hi2 = _log_bounds(q, 2 * terms)
+    assert lo <= lo2 and hi2 <= hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.fractions(-20, 20), positive_rationals)
+def test_cmp_log_sign(x, q):
+    gap = float(x) - math.log(q)
+    sign = _cmp_log(x, q)
+    if abs(gap) > 1e-9:
+        assert sign == (1 if gap > 0 else -1)
+    if q == 1:
+        assert sign == (x > 0) - (x < 0)
+    else:
+        assert sign != 0
 
 
 # brute-force oracle: the objective along p -> (-log p, -log(1-p)) over a
