@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .values import INF, Trop, trop_add, trop_dist, trop_mul
 from .series import MultiDegree, TropSeries, tropicalize, truncate, univariate_roots
 from .terms import parse, pretty, typecheck
-from .model import Caps, TropMatrix, interpret, kleisli_compose, matrix_apply
+from .model import Caps, TropMatrix, interpret, matrix_apply
 from .reduction import adequacy_check, best_case, mle, outcome_series, path_likelihood, step
 from .taylor import (
     empirical_lipschitz,
@@ -32,7 +32,6 @@ __all__ = [
     "Caps",
     "TropMatrix",
     "interpret",
-    "kleisli_compose",
     "matrix_apply",
     "step",
     "best_case",

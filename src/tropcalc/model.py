@@ -8,21 +8,15 @@ symbolic weight parameters.  Absent entries are the constant-INF series.
 Composition and application both go through the promotion t^!: its entry
 at (rho, abag) is the least cost of splitting rho into one part per point
 of abag, each part sent onto its point.  `TropMatrix.promoted` memoizes it,
-and `promotion_sum`, the one coKleisli sum, combines it with a head over
-the split of the context mu = mu0 + rho.  `linear_sum` is that sum with a
-one-point abag; D[M,N], ifz and the star operator use it.
+and `promotion_sum`, the one coKleisli sum, combines it with the function's
+candidate heads at each split of the context mu = mu0 + rho (`heads`, which
+every Y level sharing the function shares); a head whose one-point abag
+the argument does not generate at rho is never asked.  `linear_sum` is
+that sum with a one-point abag, which takes all of rho, so it walks the
+argument's support at rho; D[M,N], ifz and the star operator use it.
 
 A matrix memoizes its entries, promotions, supports (the finite entries at
-a bag, `finite_points`), reaches (the points finite at some part of a bag,
-`reach`) and generated candidates (below).  The sum enumerates one of two
-sides.  Reach-driven, it asks the head about every bag over the argument's
-reach from rho.  Head-driven, for application only, it walks the function's
-support at mu0, which every Y level sharing the function shares.  A split
-takes the support when the function generates, when the support is
-memoized, or when the reach covers the argument's whole codomain, where
-both sides cost about the same; anything else stays reach-driven, because
-a probed support over an arrow-valued codomain can cost far more than the
-reach.
+a bag, `finite_points`), heads and generated candidates (below).
 
 A term's matrix has its context, a flat `SumSet` with one component per
 bound variable, as domain.  A lambda is `curry` of its body's matrix: the
@@ -33,34 +27,34 @@ and argument, and D[M,N] is the differential operator on uncurry M followed
 by the one-point sum against N.
 
 A matrix also knows its live points (`live`, by default its codomain): the
-codomain points that can be finite at some bag, and the only ones
-`finite_points` asks about.  A lambda's arrow points are (abag, b), and abag
-holds one point per use of the bound variable, so its live points are the
-abags of at most `_copies` points, the static copy bound of the variable in
-the body (the counting part of non-idempotent intersection types), over the
-body's live points.  An application, and a Y, takes its arrow cap from the
-function's live points.  Live points are a subsequence of the codomain's,
-so supports keep their order and every sum its fold.
+codomain points that can be finite at some bag, and the only ones a matrix
+without a generator rule asks about.  A lambda's arrow points are (abag, b),
+and abag holds one point per use of the bound variable, so its live points
+are the abags of at most `_copies` points, the static copy bound of the
+variable in the body (the counting part of non-idempotent intersection
+types), over the body's live points.  An application, and a Y, takes its
+arrow cap from the function's live points.
 
-Most matrices also generate their finite points instead of probing them.
-The relational points are non-idempotent intersection types, so the finite
-entries follow from the term's structure, by bounded type inference run
-backwards (de Carvalho, MSCS 2018).  `generate(fixed, free)` returns a
-superset of the (bag, point) pairs at which an entry can be finite, where
-bag is the fixed bag plus a bag over some free context components, each
-with a size cap.  Each rule follows one entry function: a variable gives
-its singleton bag, or every point of its type when its component is free;
-a numeral its point at the empty bag; succ and pred shift; `weighted_min`
-takes the union; the zero term gives nothing; an application takes the
-head's rows at each split times the argument's generated promotion
-(`generate_promoted`, the DP of `promoted`); D[M,N] the head's rows at
-rho + [a] times the argument's rows at a; and a lambda frees its slot with
-the cap of its live points.  A matrix generates only when its constructor
-has a rule and every child it reads generates; ifz and Y have none, so
-they, and every matrix built on them, probe their live points.  A
-generating matrix's support asks `entry` only at the candidates, in the
-order of its live points, so series, their `vars` and every printed byte
-are those of the probe.
+Every matrix `interpret` builds also generates its finite points instead
+of probing them.  The relational points are non-idempotent intersection
+types, so the finite entries follow from the term's structure, by bounded
+type inference run backwards (de Carvalho, MSCS 2018).  `generate(fixed,
+free)` returns a superset of the (bag, point) pairs at which an entry can
+be finite, where bag is the fixed bag plus a bag over some free context
+components, each with a size cap.  Each rule follows one entry function: a
+variable gives its singleton bag, or every point of its type when its
+component is free; a numeral its point at the empty bag; succ and pred
+shift; `weighted_min` takes the union; the zero term gives nothing; an
+application takes the head's rows at each split times the argument's
+generated promotion (`generate_promoted`, the DP of `promoted`); D[M,N] the
+head's rows at rho + [a] times the argument's rows at a; ifz the
+condition's rows at numeral 0 times the then branch's rows and at the
+other numerals times the else branch's; a lambda frees its slot with the
+cap of its live points; and Y takes the rows of the Kleene level where
+they stop growing (below).  A combinator over a matrix without a rule
+(`identity`, `uncurry`) probes its live points instead.  A generating
+matrix's support asks `entry` only at the candidates, in sorted point
+order; serialization sorts, so every printed byte is that of the probe.
 
 Scalar, choice and sum are one `weighted_min` matrix each: w . M adds w to
 every entry of M, M + N is the entrywise min, M (+p) N is p . M + p' . N.
@@ -72,7 +66,13 @@ so a demand never recurses through the chain.  It stops at the first
 approximant whose supports there equal those of the approximant below: each
 approximant reads only those supports, and every entry of a coKleisli sum is
 stored reduced, so the chain has stabilized exactly.  f_max is an upper
-limit, which a chain that stabilizes never reaches.
+limit, which a chain that stabilizes never reaches.  Y's generator rule
+climbs the same levels and stops at the first whose generated rows at the
+parts of the fixed bag equal those of the level below, or at f_max.  A
+level's rule reads only those rows of the level below, and an
+application's rule is monotone in its argument's, so the candidates grow
+with the level and stop growing there: that level's rows cover every level
+the entries can reach.
 
 Point representation (plain hashable tuples):
   ground point           "*"
@@ -284,7 +284,7 @@ class TropMatrix:
         self._generated_promoted: Dict[tuple, set] = {}
         self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
-        self._reach: Dict[tuple, list] = {}
+        self._heads: Dict[tuple, dict] = {}
 
     def entry(self, bag: tuple, b) -> TropSeries:
         key = (bag, b)
@@ -317,6 +317,8 @@ class TropMatrix:
         DP of `promoted` over the generated rows."""
         if not abag:
             return set() if fixed else {()}
+        if len(abag) == 1:
+            return self.generate(fixed, free).get(abag[0], set())
         key = (fixed, free, abag)
         got = self._generated_promoted.get(key)
         if got is None:
@@ -329,34 +331,36 @@ class TropMatrix:
             self._generated_promoted[key] = got
         return got
 
+    def candidates(self, bag: tuple):
+        """The codomain points that can be finite at this bag: the generated
+        candidates in sorted order when the matrix generates, and otherwise
+        its live points in the order of cod.points()."""
+        if self.generates:
+            return sorted(b for b, bags in self.generate(bag).items() if bags)
+        return self.live.points()
+
     def finite_points(self, bag: tuple) -> list:
-        """Codomain points with a non-INF entry at this bag, in the order of
-        cod.points(); only the live points are asked, and of those only the
-        generated ones when the matrix generates."""
+        """The candidates with a non-INF entry at this bag, with their
+        entries."""
         got = self._support.get(bag)
         if got is None:
             got = []
-            points = self.live.points()
-            if self.generates:
-                cands = self.generate(bag)
-                points = [b for b in points if cands.get(b)] if cands else ()
-            for b in points:
+            for b in self.candidates(bag):
                 s = self.entry(bag, b)
                 if not s.is_empty:
                     got.append((b, s))
             self._support[bag] = got
         return got
 
-    def reach(self, rho: tuple) -> list:
-        """Sorted codomain points with a non-INF entry at some part of rho."""
-        got = self._reach.get(rho)
-        if got is None:
-            reach = set()
-            for part, _ in sub_bags(rho):
-                for a, _ in self.finite_points(part):
-                    reach.add(a)
-            got = self._reach[rho] = sorted(reach)
-        return got
+    def heads(self, bag: tuple, b) -> list:
+        """The candidates (=>, abag, b) at this bag of an arrow-valued
+        matrix, for one codomain point b, in the order of `candidates`."""
+        rows = self._heads.get(bag)
+        if rows is None:
+            rows = self._heads[bag] = {}
+            for pt in self.candidates(bag):
+                rows.setdefault(pt[2], []).append(pt)
+        return rows.get(b, ())
 
     def promoted(self, rho: tuple, abag: tuple) -> TropSeries:
         """Promotion t^!: the least cost of splitting rho into one part per
@@ -443,56 +447,31 @@ def weight_series(w: T.Weight) -> TropSeries:
     return TropSeries.constant(w)
 
 
-def promotion_sum(
-    head: Callable[[tuple, tuple], TropSeries],
-    t: TropMatrix,
-    mu: tuple,
-    k: int,
-    row: Optional[Tuple[TropMatrix, object]] = None,
-) -> TropSeries:
-    """The coKleisli sum: the min over mu = mu0 + rho and bags abag of at
-    most k points of head(mu0, abag) + t^!(rho, abag).  An empty head skips
-    the promotion, and the empty abag promotes only the empty rho.
-
-    Two enumerations give the same sum.  The reach-driven one asks the head
-    about every bag over t.reach(rho).  The head-driven one visits only the
-    finite heads: ``row=(m, b)`` says head(mu0, abag) is m's entry at
-    (mu0, ("=>", abag, b)), so those heads are the points of m's support
-    m.finite_points(mu0) whose codomain point is b.  A split takes the
-    head-driven path when m generates, since its support then asks only
-    generated candidates; when that support is already memoized; and when
-    the reach covers every point of t.cod, since the reach bags then cost
-    as much to enumerate as the support.  Otherwise it takes the
-    reach-driven one.
+def promotion_sum(m: TropMatrix, b, t: TropMatrix, mu: tuple, k: int) -> TropSeries:
+    """The coKleisli sum of application: the min over mu = mu0 + rho and
+    bags abag of at most k points of m_{mu0, <abag, b>} + t^!(rho, abag).
+    It walks m's candidate heads at mu0 (`heads`), and lets the empty abag
+    promote only the empty rho.
 
     The sum is returned reduced (`TropSeries.reduced`): the same function
     without its dominated monomials.  Reduction commutes with min and +, so
     every entry built on reduced entries equals the reduced formal one."""
     best = EMPTY_SERIES
-    reach = t.reach
-    if row is not None:
-        m, b = row
-        n_cod = len(t.cod.points())
     for mu0, rho in sub_bags(mu):
-        # a generating head, or a split whose support already exists, skips
-        # the reach
-        pts = None if row is not None and (m.generates or mu0 in m._support) else reach(rho)
-        if pts is None or (row is not None and len(pts) == n_cod):
-            for (_, abag, hb), h in m.finite_points(mu0):
-                if hb != b or len(abag) > k or (rho and not abag):
-                    continue
-                promo = t.promoted(rho, abag)
-                if not promo.is_empty:
-                    best = best.tmin(h.tmul(promo))
-        else:
-            for size in range(1 if rho else 0, k + 1):
-                for abag in itertools.combinations_with_replacement(pts, size):
-                    h = head(mu0, abag)
-                    if h.is_empty:
-                        continue
-                    promo = t.promoted(rho, abag)
-                    if not promo.is_empty:
-                        best = best.tmin(h.tmul(promo))
+        for pt in m.heads(mu0, b):
+            abag = pt[1]
+            if len(abag) > k or (rho and not abag):
+                continue
+            # a one-point promotion is the argument's entry at rho: a point
+            # it does not generate there is INF, so skip the head's entry
+            if len(abag) == 1 and t.generates and not t.generate(rho).get(abag[0]):
+                continue
+            h = m.entry(mu0, pt)
+            if h.is_empty:
+                continue
+            promo = t.promoted(rho, abag)
+            if not promo.is_empty:
+                best = best.tmin(h.tmul(promo))
     return best.reduced()
 
 
@@ -500,20 +479,16 @@ def linear_sum(
     head: Callable[[tuple, object], TropSeries], t: TropMatrix, mu: tuple
 ) -> TropSeries:
     """The promotion sum with a one-point abag: the min over mu = mu0 + rho
-    and points a of head(mu0, a) + t_{rho,a}."""
-    return promotion_sum(lambda mu0, abag: head(mu0, abag[0]) if abag else EMPTY_SERIES, t, mu, 1)
-
-
-def kleisli_compose(s: TropMatrix, t: TropMatrix, k: int) -> TropMatrix:
-    """(s o_! t)_{mu,c} = inf over bags rho of at most k points of
-    s_{rho,c} + t^!_{mu,rho}."""
-    if t.cod != s.dom:
-        raise ShapeMismatch(f"cannot compose {s.dom!r} after {t.cod!r}")
-
-    def fn(mu, c):
-        return promotion_sum(lambda mu0, rho: EMPTY_SERIES if mu0 else s.entry(rho, c), t, mu, k)
-
-    return TropMatrix(t.dom, s.cod, fn)
+    and points a of head(mu0, a) + t_{rho,a}.  Promoting rho onto one point
+    sends all of rho there, so it walks t's support at rho; the sum is
+    returned reduced, as `promotion_sum`'s is."""
+    best = EMPTY_SERIES
+    for mu0, rho in sub_bags(mu):
+        for a, arg in t.finite_points(rho):
+            h = head(mu0, a)
+            if not h.is_empty:
+                best = best.tmin(h.tmul(arg))
+    return best.reduced()
 
 
 # ------------------------------------------------------------ CCC combinators
@@ -574,9 +549,7 @@ def _apply(fm: TropMatrix, fa: TropMatrix, arrow_cap: int) -> TropMatrix:
         raise ShapeMismatch(f"applying a non-arrow matrix {fm.cod!r}")
 
     def fn(mu, b):
-        return promotion_sum(
-            lambda mu0, abag: fm.entry(mu0, ("=>", abag, b)), fa, mu, arrow_cap, (fm, b)
-        )
+        return promotion_sum(fm, b, fa, mu, arrow_cap)
 
     def gen(fixed, free):
         # the head's rows times the argument's promotion at their abag
@@ -623,6 +596,26 @@ def _dapp(fm: TropMatrix, fa: TropMatrix) -> TropMatrix:
 
     generates = fm.generates and fa.generates
     return TropMatrix(fm.dom, fm.cod, fn, gen=gen if generates else None)
+
+
+def _ifz(cm: TropMatrix, tm: TropMatrix, em: TropMatrix) -> TropMatrix:
+    """ifz for cm : !G -> Nat and branches tm, em : !G -> B;
+    ifz_{mu0+mu1,b} = inf over n of (tm if n == 0 else em)_{mu0,b} + cm_{mu1,n}."""
+
+    def fn(mu, b):
+        return linear_sum(lambda mu0, n: (tm if n == 0 else em).entry(mu0, b), cm, mu)
+
+    def gen(fixed, free):
+        # the condition's rows at each numeral times its branch's rows
+        out: Dict[object, set] = {}
+        for f0, f1 in sub_bags(fixed):
+            for n, conds in cm.generate(f1, free).items():
+                for b, heads in (tm if n == 0 else em).generate(f0, free).items():
+                    _add_sums(out.setdefault(b, set()), heads, conds, free)
+        return out
+
+    generates = cm.generates and tm.generates and em.generates
+    return TropMatrix(cm.dom, tm.cod, fn, gen=gen if generates else None)
 
 
 def _add_sums(out: set, lefts: Iterable, rights: Iterable, free: tuple) -> None:
@@ -806,14 +799,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return TropMatrix(dom, sub.cod, pred_fn, gen=pred_gen if sub.generates else None)
 
     if isinstance(term, T.Ifz):
-        cm = _interp(term.cond, ctx, dialect, caps)
-        tm = _interp(term.then, ctx, dialect, caps)
-        em = _interp(term.other, ctx, dialect, caps)
-
-        def ifz_fn(mu, b):
-            return linear_sum(lambda mu0, n: (tm if n == 0 else em).entry(mu0, b), cm, mu)
-
-        return TropMatrix(dom, tm.cod, ifz_fn)
+        return _ifz(*(_interp(s, ctx, dialect, caps) for s in (term.cond, term.then, term.other)))
 
     if isinstance(term, T.Fix):
         fm = _interp(term.body, ctx, dialect, caps)
@@ -824,25 +810,33 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         levels = [TropMatrix.empty(dom, cod)]
         stop: Dict[tuple, TropMatrix] = {}
 
+        def climb(fixed, rows_at):
+            """The first level whose rows_at(level, part) at every part of
+            fixed equal the level below's, or level f_max: each level reads
+            only those rows of the level below, so once they repeat, every
+            higher level's do too."""
+            parts = [part for part, _ in sub_bags(fixed)]
+            rows = [rows_at(levels[0], part) for part in parts]
+            for i in range(1, caps.f_max + 1):
+                if i == len(levels):
+                    levels.append(_apply(fm, levels[-1], cap))
+                below, rows = rows, [rows_at(levels[i], part) for part in parts]
+                if rows == below:
+                    break
+            return levels[i]
+
         def fix_fn(mu, b):
-            # each level's entries read only the finite rows of the level
-            # below at parts of mu, so filling those rows from the bottom up
-            # leaves every demand one level deep; and once a level's rows
-            # equal the level below's, so do all higher levels' rows
+            # filling the finite rows from the bottom up leaves every demand
+            # one level deep
             top = stop.get(mu)
             if top is None:
-                parts = [part for part, _ in sub_bags(mu)]
-                rows = [[] for _ in parts]  # level 0 is empty
-                for i in range(1, caps.f_max + 1):
-                    if i == len(levels):
-                        levels.append(_apply(fm, levels[-1], cap))
-                    below, rows = rows, [levels[i].finite_points(part) for part in parts]
-                    if rows == below:
-                        break
-                top = stop[mu] = levels[i]
+                top = stop[mu] = climb(mu, TropMatrix.finite_points)
             return top.entry(mu, b)
 
-        return TropMatrix(dom, cod, fix_fn)
+        def fix_gen(fixed, free):
+            return climb(fixed, lambda m, part: m.generate(part, free)).generate(fixed, free)
+
+        return TropMatrix(dom, cod, fix_fn, gen=fix_gen if fm.generates else None)
 
     raise TypeError(f"no interpretation for {type(term).__name__}")
 

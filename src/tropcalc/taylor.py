@@ -20,7 +20,6 @@ from . import terms as T
 from .model import (
     Caps,
     DEFAULT_CAPS,
-    EMPTY_SERIES,
     SumSet,
     TropMatrix,
     ZERO_SERIES,
@@ -154,19 +153,6 @@ def taylor_term(t: TropMatrix, s: TropMatrix, n: int) -> TropMatrix:
     for _ in range(n):
         f = star(f, s)
     return TropMatrix(t.dom, f.cod, f.entry)
-
-
-def taylor_sum(t: TropMatrix, s: TropMatrix, n_cap: int) -> TropMatrix:
-    """Entrywise min of the Taylor approximants up to n_cap."""
-    mats = [taylor_term(t, s, n) for n in range(n_cap + 1)]
-
-    def fn(bag, y):
-        best = EMPTY_SERIES
-        for m in mats:
-            best = best.tmin(m.entry(bag, y))
-        return best
-
-    return TropMatrix(mats[0].dom, mats[0].cod, fn)
 
 
 def taylor_gap(

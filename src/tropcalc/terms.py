@@ -185,6 +185,18 @@ class Scalar(Term):
     weight: Weight
     body: Term
 
+    def __eq__(self, other):
+        # a float weight is not the equal Fraction: the two give their
+        # paths differently typed costs, so caches keyed by terms must not
+        # merge them (the hash stays the structural one, equal for both)
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (
+            self.weight.__class__ is other.weight.__class__
+            and self.weight == other.weight
+            and self.body == other.body
+        )
+
 
 @_cached_hash
 @dataclass(frozen=True)

@@ -74,15 +74,6 @@ def trop_dist(a: Trop, b: Trop) -> Trop:
     return abs(a - b)
 
 
-def trop_close(a: Trop, b: Trop, tol: float = FLOAT_TOL) -> bool:
-    """Equality, exact on rationals, within tol if a float is involved."""
-    if is_inf(a) or is_inf(b):
-        return is_inf(a) and is_inf(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return abs(float(a) - float(b)) <= tol
-
-
 def fmt_trop(a: Trop) -> str:
     if is_inf(a):
         return "inf"

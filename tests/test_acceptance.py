@@ -48,12 +48,12 @@ from tropcalc.taylor import (
     lipschitz_estimate,
     matrix_fn,
     taylor_gap,
-    taylor_sum,
     RBagApp,
     RVar,
 )
 from tropcalc.reduction import adequacy_check, best_case, mle, outcome_series
 from tests.test_reduction import ADEQUACY_SUITE, M_GEN, M_PROB
+from tests.test_taylor import taylor_sum
 
 STAR = "*"
 EPS = Fraction(1, 100)

@@ -236,6 +236,7 @@ DDF = "\\f:o->o->o. \\x:o. D[D[f,x],x] 0"
 IFZ = "\\x:Nat. ifz (b . x) (c . succ x) (a . pred x)"
 OPEN_Y = "(\\n:Nat. Y (\\x:Nat. n (+p) (a . x))) 0"
 BSTLC_TWICE = "\\f:!2 o -o o. \\x:o. f (f x)"
+F1 = "(\\f:Nat->Nat. f 1) (Y (\\g:Nat->Nat. \\n:Nat. ifz n 0 (a . g (pred n))))"
 PINNED_STDOUT = [
     pytest.param(["interpret", f"{TERMS}/twice.lam", "--kmax", "4"],
                  "bbc2ab3ddb47e3aa1c175525161c64fc120528d029b4b828d00415c14367775a", id="twice"),
@@ -271,6 +272,10 @@ PINNED_STDOUT = [
     # 4 here), not from --kmax
     pytest.param(["interpret", "--dialect", "bstlc", "--term", BSTLC_TWICE],
                  "45b9f5ace4ccd216d5ac95a00810ade675da4b9438a8efa8f5a3d82d0c25d245", id="bstlc-twice"),
+    # a Nat->Nat fixpoint applied once, recorded when ifz and Y probed
+    # their supports (13 s then)
+    pytest.param(["adequacy", "--term", F1, "--target", "0", "--fixmax", "3"],
+                 "f04a62fbc55d2767d03b6d194499f4718f0eb18348377296cc3f33cb9d44192a", id="f1-fixmax3"),
 ]
 
 

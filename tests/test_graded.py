@@ -1,6 +1,7 @@
 """Law checks for the graded multiset structure, stated on the model's own
 code: promotion (`TropMatrix.promoted`) and coKleisli composition
-(`kleisli_compose`) for the functor and digging, `identity` for the counit,
+(`kleisli_compose`, a brute-force sum over promotions kept here as the
+oracle for application) for the functor and digging, `identity` for the counit,
 `sub_bags` for contraction, and the tagging of context bags (`tag_bag`,
 `split_component`) for the monoidal unit and multiplication."""
 
@@ -17,8 +18,8 @@ from tropcalc.model import (
     TropMatrix,
     UnitSet,
     bag_add,
+    bags_upto,
     identity,
-    kleisli_compose,
     split_component,
     sub_bags,
     tag_bag,
@@ -38,6 +39,23 @@ class BagSet(SemSet):
 
     def points(self):
         return tuple(self.base.bags(self.s))
+
+
+def kleisli_compose(s, t, k):
+    """(s o_! t)_{mu,c}: the min over bags rho of at most k points of t's
+    codomain of s_{rho,c} + t^!_{mu,rho}, reduced as the model stores its
+    coKleisli sums."""
+    rhos = bags_upto(t.cod.points(), k)
+
+    def fn(mu, c):
+        best = EMPTY_SERIES
+        for rho in rhos:
+            head = s.entry(rho, c)
+            if not head.is_empty:
+                best = best.tmin(head.tmul(t.promoted(mu, rho)))
+        return best.reduced()
+
+    return TropMatrix(t.dom, s.cod, fn)
 
 
 def dig(x, s):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as hst
 from tropcalc.series import MultiDegree, TropSeries
 from tropcalc.values import INF
 from tropcalc import model
-from tropcalc.terms import Arrow, DApp, Fix, GradedArrow, Lam, NAT, O, children, parse, typecheck
+from tropcalc.terms import Arrow, DApp, Fix, GradedArrow, Lam, NAT, O, Term, children, parse, typecheck
 from tropcalc.model import (
     ArrowSet,
     Caps,
@@ -23,6 +23,7 @@ from tropcalc.model import (
     ZERO_SERIES,
     _apply,
     _dapp,
+    _ifz,
     _interp,
     bag_add,
     bag_splits,
@@ -31,7 +32,6 @@ from tropcalc.model import (
     curry,
     identity,
     interpret,
-    kleisli_compose,
     linear_sum,
     matrix_apply,
     matrix_to_json_dict,
@@ -43,6 +43,7 @@ from tropcalc.model import (
     weight_series,
     weighted_min,
 )
+from tests.test_graded import kleisli_compose
 
 TERMS = Path(__file__).resolve().parent.parent / "terms"
 STAR = "*"
@@ -216,12 +217,10 @@ ARG_PTS = APP_ARG.points()
 
 
 def app_args(case):
-    """Arguments over APP_ARG for the ways `_apply` can meet the head-driven
-    path: "full" reaches every point from every rho, so the function's
-    supports get built; "partial" and "support" reach one point only, so the
-    application never builds them; "reuse" reaches every point exactly when
-    rho holds the context point 1, so the support memo at mu0 built on such
-    a rho is reused on a smaller reach."""
+    """Arguments over APP_ARG of several densities: "full" is finite at
+    every point from the empty bag on; "partial" and "support" at one point
+    only; "reuse" at every point exactly when rho holds the context point
+    1, so the function's heads at mu0 are reused by a sparser split."""
     full_at = {"full": (), "reuse": (1,)}.get(case)
     points = ARG_PTS if case == "full" else ARG_PTS[:1]
 
@@ -244,8 +243,8 @@ def app_args(case):
 @given(fm=sparse_matrices(APP_CTX, APP_FUN, max_bag=2, max_size=40), data=hst.data())
 def test_apply_head_driven_matches_split_enumeration(case, fm, data):
     if case == "support":
-        # another consumer fills the function's support memo first, so the
-        # application walks it at those mu0 although the reach is partial
+        # another consumer fills the function's support memo first, which
+        # must not change what the application computes
         for mu0 in data.draw(hst.lists(hst.sampled_from(APP_CTX.bags(2)), unique=True)):
             fm.finite_points(mu0)
     check_apply_oracle(fm, data.draw(app_args(case)))
@@ -421,13 +420,17 @@ def test_dapp_matches_diff_op(fm, fa):
     check_dapp_oracle(fm, fa, DAPP_CTX.bags(2))
 
 
-def check_generated_cover(m, bags):
-    """Every finite entry of m at the bags is a generated candidate."""
+def check_generated_cover(m, bags, free=()):
+    """Every finite entry of m at the bags is a generated candidate, asked
+    with the points of the free components (i, cap) left free."""
+    comps = {i for i, _ in free}
     for bag in bags:
-        cands = m.generate(bag)
+        if not model._fits(bag, free):
+            continue
+        cands = m.generate(tuple(p for p in bag if p[1] not in comps) if free else bag, free)
         for b in m.cod.points():
             if not m.entry(bag, b).is_empty:
-                assert bag in cands.get(b, ()), (bag, b)
+                assert bag in cands.get(b, ()), (bag, b, free)
 
 
 # a context of two components, so that a curried slot leaves one behind
@@ -440,11 +443,16 @@ GEN_CTX = SumSet((NatSet(1), UnitSet()))
     sparse_matrices(APP_CTX, APP_ARG, max_bag=2),
     sparse_matrices(DAPP_CTX, ArrowSet(NatSet(1), NatSet(1), 2), max_bag=2, max_size=20),
     sparse_matrices(DAPP_CTX, NatSet(1), max_bag=2),
+    sparse_matrices(GEN_CTX, NatSet(2), max_bag=2),
+    hst.lists(sparse_matrices(GEN_CTX, NatSet(1), max_bag=2), min_size=2, max_size=2),
 )
-def test_generated_candidates_cover_apply_and_dapp(fm, fa, dm, da):
+def test_generated_candidates_cover_apply_and_dapp(fm, fa, dm, da, cm, branches):
     for k in (1, 2):
         check_generated_cover(_apply(fm, fa, k), APP_CTX.bags(3))
     check_generated_cover(_dapp(dm, da), DAPP_CTX.bags(3))
+    ifz = _ifz(cm, *branches)
+    for free in [(), ((1, 2),), ((0, 1), (1, 1))]:
+        check_generated_cover(ifz, GEN_CTX.bags(3), free)
 
 
 @settings(max_examples=40, deadline=None)
@@ -781,6 +789,7 @@ def test_copies_rules(src, dialect, want):
 FLIP = "\\f:o->o->o. \\x:o. \\y:o. f y x"
 DDF = "\\f:o->o->o. \\x:o. D[D[f,x],x] 0"
 SMALL_CAPS = Caps(k_max=2, n_max=3)
+STEP = "\\g:Nat->Nat. \\n:Nat. ifz n 0 (g (pred n))"
 # (source, dialect, caps, whether the term's live points are fewer than its
 # codomain's)
 LIVE_TERMS = [
@@ -803,20 +812,27 @@ LIVE_TERMS = [
     pytest.param(FLIP, "stlc", Caps(k_max=3), True, id="flip-k3"),
     pytest.param(DDF, "stdlc", Caps(k_max=3), True, id="ddf-k3"),
     pytest.param("\\f:!2 o -o o. \\x:o. f (f x)", "bstlc", Caps(), False, id="bstlc-church2"),
+    pytest.param("\\x:Nat. ifz x 0 1", "pcfl", SMALL_CAPS, True, id="ifz-01"),
+    pytest.param(STEP, "pcfl", SMALL_CAPS, True, id="step"),
+    pytest.param("\\x:Nat. Y (\\y:Nat. x)", "pcfl", SMALL_CAPS, False, id="y-free"),
+    pytest.param("(\\n:Nat. Y (\\x:Nat. n (+p) (a . x)))", "pcfl", SMALL_CAPS, False, id="open-y-a"),
+    pytest.param("Y (\\x:Nat. 1 (+p) succ x)", "pcfl", SMALL_CAPS, False, id="counter"),
 ]
 
 
-def probed_support(monkeypatch, term, ctx, dialect, caps, bag):
-    """The oracle for `finite_points(bag)`: an interpretation whose binders
-    have no copy bound and whose matrices generate nothing, so every matrix
-    asks every point of its codomain."""
+def probed_supports(monkeypatch, term, ctx, dialect, caps, bags):
+    """The oracle for `finite_points` at each of the bags: an
+    interpretation whose binders have no copy bound and whose matrices
+    generate nothing, so every matrix asks every point of its codomain; its
+    finite points come in sorted order, as a generating support lists
+    them."""
     with monkeypatch.context() as mp:
         mp.setattr(model, "_copies", lambda t, x: math.inf)
         mp.setattr(TropMatrix, "generates", property(lambda self: False))
         brute = interpret(term, ctx, dialect, caps)
         assert brute.live == brute.cod
-        want = [(b, brute.entry(bag, b)) for b in brute.cod.points()]
-    return brute, [(b, s) for b, s in want if not s.is_empty]
+        wants = [[(b, brute.entry(bag, b)) for b in brute.cod.points()] for bag in bags]
+    return brute, [sorted((e for e in want if not e[1].is_empty), key=lambda e: e[0]) for want in wants]
 
 
 def check_support(got, want):
@@ -829,40 +845,60 @@ def check_support(got, want):
 def test_finite_points_match_scan_of_every_point(monkeypatch, src, dialect, caps, bounded):
     term = parse(src, dialect)
     m = interpret(term, [], dialect, caps)
-    brute, want = probed_support(monkeypatch, term, [], dialect, caps, ())
+    brute, (want,) = probed_supports(monkeypatch, term, [], dialect, caps, [()])
     assert m.cod == brute.cod and (m.live != m.cod) == bounded
     assert want
     check_support(m.finite_points(()), want)
 
 
-@pytest.mark.parametrize("src", ["z x x", "\\y:o. z y x"])
-def test_open_finite_points_match_scan_at_context_bags(monkeypatch, src):
-    caps = Caps(k_max=2)
-    term = parse(src)
-    m = interpret(term, ZXX_CTX, "stlc", caps)
+NAT_TO_NAT = Arrow(NAT, NAT)
+# (source, context, dialect, caps, largest context bag): the pcfl terms are
+# the bodies of the closed lambdas above, open in their bound variables
+OPEN_TERMS = [
+    pytest.param("z x x", ZXX_CTX, "stlc", Caps(k_max=2), 3, id="z x x"),
+    pytest.param("\\y:o. z y x", ZXX_CTX, "stlc", Caps(k_max=2), 3, id="\\y:o. z y x"),
+    pytest.param("ifz x 0 1", [("x", NAT)], "pcfl", SMALL_CAPS, 3, id="ifz-01"),
+    pytest.param("\\n:Nat. ifz n 0 (g (pred n))", [("g", NAT_TO_NAT)], "pcfl", SMALL_CAPS, 2,
+                 id="step"),
+    pytest.param("Y (\\y:Nat. x)", [("x", NAT)], "pcfl", SMALL_CAPS, 3, id="y-free"),
+    pytest.param("Y (\\x:Nat. n (+p) (a . x))", [("n", NAT)], "pcfl", SMALL_CAPS, 3, id="open-y-a"),
+    pytest.param("Y (\\x:Nat. n (+p) succ x)", [("n", NAT)], "pcfl", SMALL_CAPS, 3, id="counter"),
+]
+
+
+@pytest.mark.parametrize("src,ctx,dialect,caps,max_bag", OPEN_TERMS)
+def test_open_finite_points_match_scan_at_context_bags(monkeypatch, src, ctx, dialect, caps, max_bag):
+    term = parse(src, dialect)
+    m = interpret(term, ctx, dialect, caps)
     assert m.generates
-    finite = 0
-    for bag in m.dom.bags(3):
-        _, want = probed_support(monkeypatch, term, ZXX_CTX, "stlc", caps, bag)
+    bags = m.dom.bags(max_bag)
+    _, wants = probed_supports(monkeypatch, term, ctx, dialect, caps, bags)
+    for bag, want in zip(bags, wants):
         check_support(m.finite_points(bag), want)
-        finite += len(want)
-    assert finite
+    assert any(wants)
 
 
 @pytest.mark.parametrize("src,generates", [
     ("\\x:Nat. succ (pred x)", True),
     ("\\x:Nat. 1 (+p) (a . x)", True),
     ("(\\f:Nat->Nat. f 1) (\\n:Nat. succ n)", True),
-    ("\\x:Nat. ifz x 0 1", False),
-    ("\\x:Nat. Y (\\y:Nat. x)", False),
-    ("\\g:Nat->Nat. \\n:Nat. ifz n 0 (g (pred n))", False),
-    ("(\\f:Nat->Nat. f 1) (Y (\\g:Nat->Nat. \\n:Nat. ifz n 0 (g (pred n))))", False),
-    ("\\x:Nat. succ (ifz x 0 1) (+p) x", False),
 ])
 def test_generators_only_over_generating_children(src, generates):
-    # ifz and Y have no rule, and neither has a matrix that reads one
     m = interpret(parse(src, "pcfl"), [], "pcfl", SMALL_CAPS)
     assert m.generates == generates
+
+
+@pytest.mark.parametrize("src", [
+    pytest.param("\\x:Nat. ifz x 0 1", id="ifz"),
+    pytest.param("\\x:Nat. Y (\\y:Nat. x)", id="y-free"),
+    pytest.param(STEP, id="step"),
+    pytest.param(f"(\\f:Nat->Nat. f 1) (Y ({STEP}))", id="f1"),
+    pytest.param("\\x:Nat. succ (ifz x 0 1) (+p) x", id="over-ifz"),
+])
+def test_every_interpreted_matrix_generates(src):
+    # ifz and Y have rules, so every subterm's matrix generates
+    for sub, ctx in _subterms(parse(src, "pcfl"), [], Term):
+        assert _interp(sub, ctx, "pcfl", SMALL_CAPS).generates, sub
 
 
 def test_live_points_are_a_prefix_of_the_codomain():

@@ -206,6 +206,18 @@ def test_best_case_deep_exponents():
     assert max(n for d in got.coeffs for _, n in d.items()) > 255
 
 
+def test_float_and_fraction_weights_are_different_terms():
+    # each branch's path keeps its own weight's type, whichever comes first;
+    # a state merged with the equal weight of the other type would not
+    fl, fr = Scalar(1.0, Numeral(0)), Scalar(Fraction(1), Numeral(0))
+    assert fl != fr and hash(fl) == hash(fr)
+    for left, right in [(fl, fr), (fr, fl)]:
+        t = Choice("p", left, right)
+        for got in (best_case(t, 0, 10), outcome_series(t, 0, 10)):
+            types = {d.vars(): type(c) for d, c in got.coeffs.items()}
+            assert types == {("p",): type(left.weight), ("p'",): type(right.weight)}
+
+
 def test_best_case_depth_monotone():
     t = parse("Y (\\x:Nat. 0 (+p) x)", "pcfl")
     point = {"p": Fraction(1), "p'": Fraction(1)}

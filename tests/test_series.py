@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropcalc.values import INF, as_trop, is_inf, trop_add, trop_close, trop_dist, trop_mul
+from tropcalc.values import FLOAT_TOL, INF, as_trop, is_inf, trop_add, trop_dist, trop_mul
 from tropcalc.series import (
     NEG_LOG,
     TRIVIAL,
@@ -501,6 +501,15 @@ def test_tropicalize_trivial():
     assert f == TropSeries(
         ("x", "y"), {d: Fraction(0) for d in p}
     )
+
+
+def trop_close(a, b, tol=FLOAT_TOL):
+    """Equality, exact on rationals, within tol if a float is involved."""
+    if is_inf(a) or is_inf(b):
+        return is_inf(a) and is_inf(b)
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    return abs(float(a) - float(b)) <= tol
 
 
 def test_tropicalize_neg_log():
