@@ -16,7 +16,8 @@ that sum with a one-point abag, which takes all of rho, so it walks the
 argument's support at rho; D[M,N], ifz and the star operator use it.
 
 A matrix memoizes its entries, promotions, supports (the finite entries at
-a bag, `finite_points`), heads and generated candidates (below).
+a bag, `finite_points`), heads, generated candidates (below) and applied
+rows (the finite entries that `matrix_apply` folds at a support).
 
 A term's matrix has its context, a flat `SumSet` with one component per
 bound variable, as domain.  A lambda is `curry` of its body's matrix: the
@@ -41,10 +42,13 @@ types, so the finite entries follow from the term's structure, by bounded
 type inference run backwards (de Carvalho, MSCS 2018).  `generate(fixed,
 free)` returns a superset of the (bag, point) pairs at which an entry can
 be finite, where bag is the fixed bag plus a bag over some free context
-components, each with a size cap.  Each rule follows one entry function: a
-variable gives its singleton bag, or every point of its type when its
-component is free; a numeral its point at the empty bag; succ and pred
-shift; `weighted_min` takes the union; the zero term gives nothing; an
+components, each with a size cap and the points it may hold (all of its
+type's, or a sorted tuple of them).  Each rule follows one entry function: a
+variable gives its singleton bag, or each allowed point of its type when its
+component is free; it is the only rule that puts a free component's point
+into a bag, so restricting the points restricts every row to bags over
+them.  A numeral gives its point at the empty bag; succ and pred shift;
+`weighted_min` takes the union; the zero term gives nothing; an
 application takes the head's rows at each split times the argument's
 generated promotion (`generate_promoted`, the DP of `promoted`); D[M,N] the
 head's rows at rho + [a] times the argument's rows at a; ifz the
@@ -73,6 +77,18 @@ level's rule reads only those rows of the level below, and an
 application's rule is monotone in its argument's, so the candidates grow
 with the level and stop growing there: that level's rows cover every level
 the entries can reach.
+
+`matrix_apply` reads a matrix at a point x: the min over bags of the entry
+plus the bag's cost.  A generating matrix over a context takes its rows
+`generate((), free)` with each component of x's support free at cap
+max_bag and restricted to its support points, and memoizes the finite rows
+in `bags_upto` order per (support, max_bag), so Lipschitz sampling folds
+one fixed list.  A matrix without a rule, or over a bare domain, asks every
+bag of `bags_upto(support, max_bag)`.
+
+A matrix is a pure function of (term, context, dialect, caps), so
+`_interp` builds each one once per memo: every `interpret` call has its own,
+and `taylor_gap` shares one across its whole expansion (hash-consing).
 
 Point representation (plain hashable tuples):
   ground point           "*"
@@ -285,6 +301,7 @@ class TropMatrix:
         self._promoted: Dict[tuple, TropSeries] = {}
         self._support: Dict[tuple, list] = {}
         self._heads: Dict[tuple, dict] = {}
+        self._applied: Dict[tuple, list] = {}
 
     def entry(self, bag: tuple, b) -> TropSeries:
         key = (bag, b)
@@ -301,10 +318,11 @@ class TropMatrix:
     def generate(self, fixed: tuple, free: tuple = ()) -> Dict[object, set]:
         """A superset of the finite entries at the bags fixed + (a bag over
         the free components), as {point: set of such bags}.  ``free`` is a
-        sorted tuple of (component, cap): at most cap points of that
-        component, and ``fixed`` holds no point of a free component.  Only
-        a matrix that `generates` can answer; callers share the result and
-        must not mutate it."""
+        sorted tuple of (component, cap, points): at most cap points of that
+        component, each in the sorted tuple points (any point of its type
+        when points is None), and ``fixed`` holds no point of a free
+        component.  Only a matrix that `generates` can answer; callers share
+        the result and must not mutate it."""
         key = (fixed, free)
         got = self._generated.get(key)
         if got is None:
@@ -414,8 +432,12 @@ class TropMatrix:
 
 def _fits(bag: tuple, free: tuple) -> bool:
     """Whether the context bag holds at most cap points of each free
-    component (i, cap)."""
-    return all(sum(1 for p in bag if p[1] == i) <= cap for i, cap in free)
+    component (i, cap, points), each one of its points."""
+    for i, cap, points in free:
+        held = [p[2] for p in bag if p[1] == i]
+        if len(held) > cap or (points is not None and not all(q in points for q in held)):
+            return False
+    return True
 
 
 def _within(bag: tuple, fixed: tuple, free: tuple) -> bool:
@@ -423,7 +445,7 @@ def _within(bag: tuple, fixed: tuple, free: tuple) -> bool:
     their caps."""
     if not free:
         return bag == fixed
-    comps = {i for i, _ in free}
+    comps = {i for i, _, _ in free}
     return tuple(p for p in bag if p[1] not in comps) == fixed and _fits(bag, free)
 
 
@@ -515,7 +537,7 @@ def curry(f: TropMatrix, k: int, live: Optional[SemSet] = None) -> TropMatrix:
     def gen(fixed, free):
         # the slot is one more free component, capped by the live points
         out: Dict[object, set] = {}
-        for b, bags in f.generate(fixed, free + ((n, live.k),)).items():
+        for b, bags in f.generate(fixed, free + ((n, live.k, None),)).items():
             for bag in bags:
                 rest, abag = split_component(bag, n)
                 out.setdefault(("=>", abag, b), set()).add(rest)
@@ -664,10 +686,15 @@ def interpret(term: T.Term, ctx=None, dialect: str = "stlc", caps: Caps = DEFAUL
     ``ctx`` is a list of (var, type) pairs ((var, grade, type) for the
     graded dialect).  The term must typecheck first.
     """
-    ctx = ctx or []
+    return _interpret(term, ctx or [], dialect, caps, {})
+
+
+def _interpret(term: T.Term, ctx: list, dialect: str, caps: Caps, memo: dict) -> TropMatrix:
+    """`interpret` over a memo of subterm matrices that the caller may share
+    between terms (see `_interp`)."""
     T_ctx = _ctx_types(ctx, dialect)
     T.typecheck(ctx if dialect == "bstlc" else dict(T_ctx), term, dialect)
-    return _interp(term, T_ctx, dialect, caps)
+    return _interp(term, T_ctx, dialect, caps, memo)
 
 
 def _ctx_set(ctx: list, caps: Caps) -> SumSet:
@@ -695,7 +722,21 @@ def _copies(t: T.Term, x: str):
     return max((_copies(s, x) for s in T.children(t)), default=0)
 
 
-def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
+def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps, memo: Optional[dict] = None) -> TropMatrix:
+    """The matrix of term in ctx, built once per memo: a dict from (term,
+    context, dialect, caps) to matrices (a fresh one when None).  The key is
+    sound because terms cache their structural hash and `Scalar` equality
+    compares the weight's type."""
+    if memo is None:
+        memo = {}
+    key = (term, tuple(ctx), dialect, caps)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _build(term, ctx, dialect, caps, memo)
+    return got
+
+
+def _build(term: T.Term, ctx: list, dialect: str, caps: Caps, memo: dict) -> TropMatrix:
     dom = _ctx_set(ctx, caps)
 
     if isinstance(term, T.Var):
@@ -709,14 +750,15 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         def var_gen(fixed, free):
             if fixed:
                 return {fixed[0][2]: {fixed}} if len(fixed) == 1 and fixed[0][1] == i else {}
-            if dict(free).get(i, 0) < 1:
-                return {}
-            return {b: {(("@", i, b),)} for b in cod.points()}
+            for j, cap, points in free:
+                if j == i and cap >= 1:
+                    return {b: {(("@", i, b),)} for b in (cod.points() if points is None else points)}
+            return {}
 
         return TropMatrix(dom, cod, var_fn, gen=var_gen)
 
     if isinstance(term, T.Lam):
-        body = _interp(term.body, ctx + [(term.var, term.ann)], dialect, caps)
+        body = _interp(term.body, ctx + [(term.var, term.ann)], dialect, caps, memo)
         if dialect == "bstlc":
             cap = T._infer_graded(dict(ctx), term)[0].grade
         else:
@@ -727,12 +769,12 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return curry(body, cap, live)
 
     if isinstance(term, T.App):
-        fm = _interp(term.fn, ctx, dialect, caps)
-        fa = _interp(term.arg, ctx, dialect, caps)
+        fm = _interp(term.fn, ctx, dialect, caps, memo)
+        fa = _interp(term.arg, ctx, dialect, caps, memo)
         return _apply(fm, fa, fm.live.k)
 
     if isinstance(term, T.DApp):
-        return _dapp(_interp(term.fn, ctx, dialect, caps), _interp(term.arg, ctx, dialect, caps))
+        return _dapp(_interp(term.fn, ctx, dialect, caps, memo), _interp(term.arg, ctx, dialect, caps, memo))
 
     if isinstance(term, T.ZeroTerm):
         # the zero term: all-INF at every type; give it a throwaway shape
@@ -742,14 +784,14 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         live = [s for s in term.terms if not isinstance(s, T.ZeroTerm)]
         if not live:
             return TropMatrix.empty(dom, UnitSet())
-        return weighted_min([(_interp(s, ctx, dialect, caps), None) for s in live])
+        return weighted_min([(_interp(s, ctx, dialect, caps, memo), None) for s in live])
 
     if isinstance(term, T.Scalar):
-        return weighted_min([(_interp(term.body, ctx, dialect, caps), term.weight)])
+        return weighted_min([(_interp(term.body, ctx, dialect, caps, memo), term.weight)])
 
     if isinstance(term, T.Choice):
         sides = [(term.left, term.w_left), (term.right, term.w_right)]
-        return weighted_min([(_interp(s, ctx, dialect, caps), w) for s, w in sides])
+        return weighted_min([(_interp(s, ctx, dialect, caps, memo), w) for s, w in sides])
 
     if isinstance(term, T.Numeral):
         if term.n > caps.n_max:
@@ -765,7 +807,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return TropMatrix(dom, cod, num_fn, gen=num_gen)
 
     if isinstance(term, T.Succ):
-        sub = _interp(term.arg, ctx, dialect, caps)
+        sub = _interp(term.arg, ctx, dialect, caps, memo)
         nmax = caps.n_max
 
         def succ_fn(bag, m):
@@ -779,7 +821,7 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return TropMatrix(dom, sub.cod, succ_fn, gen=succ_gen if sub.generates else None)
 
     if isinstance(term, T.Pred):
-        sub = _interp(term.arg, ctx, dialect, caps)
+        sub = _interp(term.arg, ctx, dialect, caps, memo)
         nmax = caps.n_max
 
         def pred_fn(bag, m):
@@ -799,10 +841,10 @@ def _interp(term: T.Term, ctx: list, dialect: str, caps: Caps) -> TropMatrix:
         return TropMatrix(dom, sub.cod, pred_fn, gen=pred_gen if sub.generates else None)
 
     if isinstance(term, T.Ifz):
-        return _ifz(*(_interp(s, ctx, dialect, caps) for s in (term.cond, term.then, term.other)))
+        return _ifz(*(_interp(s, ctx, dialect, caps, memo) for s in (term.cond, term.then, term.other)))
 
     if isinstance(term, T.Fix):
-        fm = _interp(term.body, ctx, dialect, caps)
+        fm = _interp(term.body, ctx, dialect, caps, memo)
         if not isinstance(fm.cod, ArrowSet):
             raise ShapeMismatch("Y needs an arrow-typed body")
         cap = fm.live.k
@@ -859,25 +901,54 @@ def matrix_apply(
     substituted numerically.
 
     ``x`` maps base points of the domain to tropical values; absent points
-    count as INF (and are never put in a bag).
+    count as INF (and are never put in a bag).  Each b folds its finite
+    entries at the bags of at most max_bag support points in `bags_upto`
+    order, so float and Fraction ties resolve the same way at every call.
     """
     params = dict(params or {})
     if max_bag is None:
         max_bag = DEFAULT_CAPS.k_max + 1
-    support = [p for p, v in x.items() if not is_inf(v)]
-    out: Dict[object, Trop] = {}
-    for b in m.cod.points():
-        best: Trop = INF
-        for bag in bags_upto(support, max_bag):
-            s = m.entry(bag, b)
-            if s.is_empty:
-                continue
-            val = s.eval(params) if s.vars else s.constant_value()
-            for p in bag:
-                val = trop_mul(val, x[p])
-            best = trop_add(best, val)
-        out[b] = best
+    support = tuple(sorted({p for p, v in x.items() if not is_inf(v)}))
+    out: Dict[object, Trop] = dict.fromkeys(m.cod.points(), INF)
+    for bag, b, s in _applied_rows(m, support, max_bag):
+        if b not in out:
+            # a variable row at a support point outside its type's points
+            continue
+        val = s.eval(params) if s.vars else s.constant_value()
+        for p in bag:
+            val = trop_mul(val, x[p])
+        out[b] = trop_add(out[b], val)
     return out
+
+
+def _applied_rows(m: TropMatrix, support: tuple, max_bag: int) -> list:
+    """The finite entries (bag, b, s) at the bags of at most max_bag points
+    of the sorted support, in `bags_upto` order (size, then lexicographic),
+    memoized on m.  A generating matrix over a context reads them off its
+    rows with each support component free at cap max_bag and restricted to
+    its support points; any other matrix asks every bag at every point, so
+    its rows are in that order per point."""
+    key = (support, max_bag)
+    rows = m._applied.get(key)
+    if rows is not None:
+        return rows
+    if m.generates and isinstance(m.dom, SumSet):
+        points: Dict[int, list] = {}
+        for p in support:
+            points.setdefault(p[1], []).append(p[2])
+        free = tuple((i, max_bag, tuple(pts)) for i, pts in sorted(points.items()))
+        asked = sorted(
+            (len(bag), bag, b)
+            for b, bags in m.generate((), free).items()
+            for bag in bags
+            if len(bag) <= max_bag
+        )
+        rows = [(bag, b, m.entry(bag, b)) for _, bag, b in asked]
+    else:
+        bags = bags_upto(support, max_bag)
+        rows = [(bag, b, m.entry(bag, b)) for b in m.cod.points() for bag in bags]
+    rows = m._applied[key] = [row for row in rows if not row[2].is_empty]
+    return rows
 
 
 # ------------------------------------------------------------- serialization

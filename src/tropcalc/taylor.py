@@ -23,6 +23,7 @@ from .model import (
     SumSet,
     TropMatrix,
     ZERO_SERIES,
+    _interpret,
     bag_add,
     interpret,
     linear_sum,
@@ -167,12 +168,15 @@ def taylor_gap(
 ) -> Tuple[Trop, Trop]:
     """(direct, expanded) value at a point: the direct interpretation
     against the min over the syntactic expansion.  expanded >= direct,
-    with equality once the witnessing bag sizes fit under the cap."""
+    with equality once the witnessing bag sizes fit under the cap.  The
+    expansion's elements share their subterms, so one memo builds each
+    subterm's matrix once for the whole call."""
     ctx = ctx or []
-    direct = matrix_apply(interpret(term, ctx, "stlc", caps), x, params, max_bag)[b]
+    memo: dict = {}
+    direct = matrix_apply(_interpret(term, ctx, "stlc", caps, memo), x, params, max_bag)[b]
     expanded: Trop = INF
     for rt in taylor_expand(term, degree_cap):
-        val = matrix_apply(interpret_resource(rt, ctx, caps), x, params, max_bag)[b]
+        val = matrix_apply(_interpret(elaborate(rt), ctx, "stdlc", caps, memo), x, params, max_bag)[b]
         expanded = trop_add(expanded, val)
     return direct, expanded
 

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from tropcalc.series import MultiDegree, TropSeries
-from tropcalc.values import INF
+from tropcalc.values import INF, is_inf, trop_add, trop_mul
 from tropcalc import model
-from tropcalc.terms import Arrow, DApp, Fix, GradedArrow, Lam, NAT, O, Term, children, parse, typecheck
+from tropcalc.terms import (
+    Arrow, DApp, Fix, GradedArrow, Lam, NAT, O, Scalar, Sum, Term, children, parse, typecheck,
+)
 from tropcalc.model import (
     ArrowSet,
     Caps,
@@ -422,8 +424,8 @@ def test_dapp_matches_diff_op(fm, fa):
 
 def check_generated_cover(m, bags, free=()):
     """Every finite entry of m at the bags is a generated candidate, asked
-    with the points of the free components (i, cap) left free."""
-    comps = {i for i, _ in free}
+    with the points of the free components (i, cap, points) left free."""
+    comps = {i for i, _, _ in free}
     for bag in bags:
         if not model._fits(bag, free):
             continue
@@ -451,7 +453,7 @@ def test_generated_candidates_cover_apply_and_dapp(fm, fa, dm, da, cm, branches)
         check_generated_cover(_apply(fm, fa, k), APP_CTX.bags(3))
     check_generated_cover(_dapp(dm, da), DAPP_CTX.bags(3))
     ifz = _ifz(cm, *branches)
-    for free in [(), ((1, 2),), ((0, 1), (1, 1))]:
+    for free in [(), ((1, 2, None),), ((0, 1, None), (1, 1, None))]:
         check_generated_cover(ifz, GEN_CTX.bags(3), free)
 
 
@@ -467,6 +469,63 @@ def test_generated_candidates_cover_curry(f, fm, fa):
     for k in (1, 2):
         check_generated_cover(curry(curry(f, k), k), DAPP_CTX.bags(3))
         check_generated_cover(curry(_apply(fm, fa, 2), k), DAPP_CTX.bags(3))
+
+
+def check_restricted_rows(m, fixed, free, allowed):
+    """The rows with each free component i restricted to allowed[i] are
+    the unrestricted rows at bags that hold no other point of i."""
+    restricted = tuple((i, cap, allowed[i]) for i, cap, _ in free)
+    want = {}
+    for b, bags in m.generate(fixed, free).items():
+        keep = {bag for bag in bags if all(p[1] not in allowed or p[2] in allowed[p[1]] for p in bag)}
+        if keep:
+            want[b] = keep
+    got = {b: bags for b, bags in m.generate(fixed, restricted).items() if bags}
+    assert got == want, (fixed, restricted)
+
+
+# (source, context, dialect, caps): open terms whose context components the
+# restriction draws points from
+RESTRICT_TERMS = [
+    ("z x x", [("x", O), ("z", Arrow(O, Arrow(O, O)))], "stlc", Caps(k_max=2)),
+    ("f (f x)", [("x", O), ("f", Arrow(O, O))], "stlc", Caps(k_max=2)),
+    ("g (z x x)", [("x", O), ("g", Arrow(O, O)), ("z", Arrow(O, Arrow(O, O)))], "stlc", Caps(k_max=2)),
+    ("\\y:o. z y x", [("x", O), ("z", Arrow(O, Arrow(O, O)))], "stlc", Caps(k_max=2)),
+    ("f (f y)", [("f", Arrow(NAT, NAT)), ("y", NAT)], "stlc", Caps(k_max=2, n_max=2)),
+    ("ifz x (succ y) (a . pred x) (+p) y", [("x", NAT), ("y", NAT)], "pcfl", Caps(k_max=2, n_max=2)),
+    ("Y (\\u:Nat. n (+p) succ u)", [("n", NAT)], "pcfl", Caps(k_max=2, n_max=2, f_max=4)),
+    ("\\n:Nat. ifz n 0 (g (pred n))", [("g", Arrow(NAT, NAT))], "pcfl", Caps(k_max=2, n_max=2)),
+]
+
+
+@pytest.mark.parametrize("src,ctx,dialect,caps", RESTRICT_TERMS, ids=[t[0] for t in RESTRICT_TERMS])
+@settings(max_examples=15, deadline=None)
+@given(data=hst.data())
+def test_restricted_rows_are_unrestricted_rows_over_allowed_points(src, ctx, dialect, caps, data):
+    m = interpret(parse(src, dialect), ctx, dialect, caps)
+    comps = m.dom.components
+    free_comps = data.draw(hst.lists(hst.sampled_from(range(len(comps))), min_size=1, unique=True))
+    free = tuple((i, data.draw(hst.integers(1, 3)), None) for i in sorted(free_comps))
+    allowed = {
+        i: tuple(sorted(data.draw(hst.lists(hst.sampled_from(comps[i].points()), max_size=3, unique=True))))
+        for i, _, _ in free
+    }
+    others = [p for p in m.dom.points() if p[1] not in allowed]
+    fixed = tuple(sorted(data.draw(hst.lists(hst.sampled_from(others), max_size=2)))) if others else ()
+    check_restricted_rows(m, fixed, free, allowed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_matrices(GEN_CTX, NatSet(1), max_bag=3, max_size=20), hst.data())
+def test_restricted_rows_of_a_table(m, data):
+    allowed = {
+        i: tuple(sorted(data.draw(hst.lists(hst.sampled_from(c.points()), max_size=2, unique=True))))
+        for i, c in enumerate(GEN_CTX.components)
+    }
+    check_restricted_rows(m, (), ((0, 2, None), (1, 3, None)), allowed)
+    # and the generated rows still cover every finite entry over the allowed points
+    check_generated_cover(m, [bag for bag in GEN_CTX.bags(3) if all(p[2] in allowed[p[1]] for p in bag)],
+                          ((0, 2, allowed[0]), (1, 3, allowed[1])))
 
 
 def test_dapp_matches_diff_op_on_ddf():
@@ -912,6 +971,137 @@ def test_live_points_are_a_prefix_of_the_codomain():
 # ------------------------------------------------------------- matrix_apply
 
 
+def probe_apply(m, x, params=None, max_bag=None):
+    """The brute-force oracle for `matrix_apply`: at every codomain point,
+    the min over every bag of at most max_bag support points, in
+    `bags_upto` order, of the entry plus the bag's cost."""
+    params = dict(params or {})
+    if max_bag is None:
+        max_bag = Caps().k_max + 1
+    support = [p for p, v in x.items() if not is_inf(v)]
+    out = {}
+    for b in m.cod.points():
+        best = INF
+        for bag in bags_upto(support, max_bag):
+            s = m.entry(bag, b)
+            if s.is_empty:
+                continue
+            val = s.eval(params) if s.vars else s.constant_value()
+            for p in bag:
+                val = trop_mul(val, x[p])
+            best = trop_add(best, val)
+        out[b] = best
+    return out
+
+
+def check_apply(build, x, params=None, max_bag=None):
+    """matrix_apply on one matrix equals probe_apply on a fresh one, value
+    for value and type for type, and again once its rows are memoized."""
+    m = build()
+    want = probe_apply(build(), x, params, max_bag)
+    for _ in range(2):
+        got = matrix_apply(m, x, params, max_bag)
+        assert list(got) == list(want)
+        assert [(v, type(v)) for v in got.values()] == [(v, type(v)) for v in want.values()], (x, max_bag)
+
+
+def resource(head, *bags):
+    """A resource term: the variable head applied to each bag in turn, a
+    bag's elements variable names or resource terms."""
+    from tropcalc.taylor import RBagApp, RVar
+
+    t = RVar(head)
+    for bag in bags:
+        t = RBagApp(t, tuple(RVar(v) if isinstance(v, str) else v for v in bag))
+    return t
+
+
+def _apply_cases():
+    from tropcalc.taylor import interpret_resource
+
+    zxx = [("x", O), ("z", Arrow(O, Arrow(O, O)))]
+    ffx = [("x", O), ("f", Arrow(O, O))]
+    gzxx = [("x", O), ("g", Arrow(O, O)), ("z", Arrow(O, Arrow(O, O)))]
+    caps = Caps(k_max=2)
+    return {
+        "z x x": lambda: interpret(parse("z x x"), zxx, "stlc", caps),
+        "f (f x)": lambda: interpret(parse("f (f x)"), ffx, "stlc", caps),
+        "g (z x x)": lambda: interpret(parse("g (z x x)"), gzxx, "stlc", caps),
+        "z<x,x><x>": lambda: interpret_resource(resource("z", "xx", "x"), zxx, caps),
+        "f<f<x>>": lambda: interpret_resource(resource("f", [resource("f", "x")]), ffx, caps),
+        "g<z<x><>,z<><x>>": lambda: interpret_resource(
+            resource("g", [resource("z", "x", ""), resource("z", "", "x")]), gzxx, caps),
+    }
+
+
+APPLY_CASES = _apply_cases()
+FINITE_VALUES = hst.one_of(
+    hst.fractions(min_value=0, max_value=5, max_denominator=4),
+    hst.floats(min_value=0, max_value=5, allow_nan=False, allow_infinity=False),
+)
+# equal floats and Fractions make ties, which the fold must meet in
+# `bags_upto` order
+TROP_VALUES = hst.one_of(FINITE_VALUES, hst.sampled_from([Fraction(0), 0.0, Fraction(1), 1.0]), hst.just(INF))
+
+
+@pytest.mark.parametrize("case", list(APPLY_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=hst.data())
+def test_matrix_apply_matches_probe(case, data):
+    build = APPLY_CASES[case]
+    points = build().dom.points()
+    support = data.draw(hst.lists(hst.sampled_from(points), min_size=1, max_size=3, unique=True))
+    x = {p: data.draw(TROP_VALUES) for p in support}
+    check_apply(build, x, max_bag=data.draw(hst.integers(1, 5)))
+
+
+PCFL_APPLY = "ifz (b . x) (c . succ y) (a . pred x) (+p) y"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    hst.lists(hst.sampled_from([("@", i, n) for i in range(2) for n in range(3)]), min_size=1, max_size=3,
+              unique=True),
+    hst.data(),
+)
+def test_matrix_apply_matches_probe_with_params(support, data):
+    ctx = [("x", NAT), ("y", NAT)]
+    caps = Caps(k_max=2, n_max=2)
+    x = {p: data.draw(TROP_VALUES) for p in support}
+    params = {v: data.draw(FINITE_VALUES) for v in ("a", "b", "c", "p", "p'")}
+    check_apply(lambda: interpret(parse(PCFL_APPLY, "pcfl"), ctx, "pcfl", caps), x, params,
+                data.draw(hst.integers(1, 5)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_matrices(GEN_CTX, NatSet(1), max_bag=3, max_size=20), hst.data())
+def test_matrix_apply_matches_probe_on_a_table(m, data):
+    support = data.draw(hst.lists(hst.sampled_from(GEN_CTX.points()), min_size=1, max_size=3, unique=True))
+    x = {p: data.draw(TROP_VALUES) for p in support}
+    check_apply(lambda: m, x, {"a": Fraction(1, 2)}, data.draw(hst.integers(1, 4)))
+
+
+@pytest.mark.parametrize("x", [
+    {("@", 1, 1): Fraction(1), ("@", 0, ("=>", (1,), 2)): Fraction(1, 2), ("@", 0, ("=>", (2,), 3)): 2.0},
+    {("@", 1, 0): Fraction(1), ("@", 0, ("=>", (0,), 0)): Fraction(1), ("@", 0, ("=>", (0, 0), 1)): INF},
+    {("@", 0, ("=>", (), 4)): Fraction(0), ("@", 0, ("=>", (4,), 8)): Fraction(3), ("@", 1, 7): 0.5},
+], ids=["chain", "loop", "constant"])
+def test_matrix_apply_f_f_y_restricts_free_points(x):
+    # every point of Nat->Nat free at the default caps makes this term's
+    # rows blow up; restricted to the support, they are a handful
+    ctx = [("f", Arrow(NAT, NAT)), ("y", NAT)]
+    check_apply(lambda: interpret(parse("f (f y)"), ctx, "stlc", Caps()), x, max_bag=3)
+
+
+@pytest.mark.parametrize("first", [1.0, Fraction(1)])
+def test_matrix_apply_ties_keep_the_first_bag(first):
+    # x and y at numeral 0 give the same value; the earlier bag's type wins
+    other = Fraction(1) if isinstance(first, float) else 1.0
+    m = interpret(parse("x + y", "pcfl"), [("x", NAT), ("y", NAT)], "pcfl", Caps(n_max=2))
+    out = matrix_apply(m, {("@", 1, 0): other, ("@", 0, 0): first}, max_bag=2)
+    assert out[0] == 1 and type(out[0]) is type(first)
+
+
 def test_matrix_apply_identity():
     X = NatSet(2)
     m = identity(X)
@@ -933,6 +1123,68 @@ def test_matrix_apply_fix_neglog():
     m.entry((), 0)
     out = matrix_apply(m, {}, params={"p": -math.log(0.5), "p'": -math.log(0.5)})
     assert abs(out[0] - (-math.log(0.5))) < 1e-9
+
+
+# ------------------------------------------------- shared interpretation
+
+
+class NoMemo(dict):
+    """A memo that stores nothing, so every node builds a fresh matrix."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def weighted_pcfl(w1, w2, w3):
+    """A pcfl term over x, y : Nat whose scalars may carry a float and an
+    equal Fraction weight on equal bodies, which a memo must keep apart."""
+    x = parse("x", "pcfl")
+    return Sum((
+        Scalar(w1, x),
+        Scalar(w2, x),
+        Scalar(w3, parse("ifz x (succ y) (a . pred x)", "pcfl")),
+        parse("Y (\\u:Nat. y (+p) succ u)", "pcfl"),
+    ))
+
+
+# (term or builder from three weights, context, dialect, caps)
+SHARED_TERMS = [
+    ("z (f x) (f x)", [("x", O), ("f", Arrow(O, O)), ("z", Arrow(O, Arrow(O, O)))], "stlc", Caps(k_max=2)),
+    ("g (z x x)", [("x", O), ("g", Arrow(O, O)), ("z", Arrow(O, Arrow(O, O)))], "stlc", Caps(k_max=2)),
+    ((TERMS / "twice.lam").read_text(), [], "stlc", Caps(k_max=2)),
+    ("\\f:!2 o -o o. \\x:o. f (f x)", [], "bstlc", Caps()),
+    ("f (f x)", [("x", 1, O), ("f", 2, GradedArrow(1, O, O))], "bstlc", Caps()),
+    (weighted_pcfl, [("x", NAT), ("y", NAT)], "pcfl", Caps(k_max=2, n_max=2, f_max=4)),
+]
+WEIGHTS = hst.sampled_from([Fraction(1, 2), 0.5, Fraction(1), 1.0, "a"])
+
+
+@pytest.mark.parametrize("src,ctx,dialect,caps", SHARED_TERMS, ids=["zfxfx", "gzxx", "twice", "bstlc-church2",
+                                                                    "bstlc-open", "weighted"])
+@settings(max_examples=10, deadline=None)
+@given(weights=hst.tuples(WEIGHTS, WEIGHTS, WEIGHTS))
+def test_shared_interpretation_matches_fresh_one(src, ctx, dialect, caps, weights):
+    term = src(*weights) if callable(src) else parse(src, dialect)
+    shared = interpret(term, ctx, dialect, caps)
+    fresh = model._interpret(term, ctx, dialect, caps, NoMemo())
+    assert shared.dom == fresh.dom and shared.cod == fresh.cod
+    for bag in shared.dom.bags(2):
+        for b in shared.cod.points()[:200]:
+            s, w = shared.entry(bag, b), fresh.entry(bag, b)
+            assert s == w and s.vars == w.vars and s.to_json_dict() == w.to_json_dict(), (bag, b)
+
+
+def test_interpretation_memo_shares_equal_subterms():
+    # the two copies of f x, and of f, are one matrix each
+    ctx = [("x", O), ("f", Arrow(O, O)), ("z", Arrow(O, Arrow(O, O)))]
+    memo = {}
+    model._interpret(parse("z (f x) (f x)"), ctx, "stlc", Caps(k_max=2), memo)
+    assert len(memo) == 6  # x, f, z, f x, z (f x), z (f x) (f x)
+    # a float weight and the equal Fraction stay two matrices
+    memo = {}
+    model._interpret(weighted_pcfl(0.5, Fraction(1, 2), 0.5), [("x", NAT), ("y", NAT)], "pcfl",
+                     Caps(k_max=2, n_max=2), memo)
+    assert sum(isinstance(key[0], Scalar) for key in memo) == 4
 
 
 # ------------------------------------------------------ substitution lemma

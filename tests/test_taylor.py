@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from tropcalc.values import INF, trop_dist
 from tropcalc.series import MultiDegree, TropSeries
@@ -223,6 +224,34 @@ def test_taylor_gap_monotone_in_cap():
         assert expanded >= direct
         assert expanded <= prev
         prev = expanded
+
+
+GZXX_CTX = [("x", O), ("g", Arrow(O, O)), ("z", Arrow(O, Arrow(O, O)))]
+GZXX_POINTS = [
+    ("@", 0, STAR),
+    ("@", 1, ("=>", (STAR,), STAR)),
+    ("@", 1, ("=>", (STAR, STAR), STAR)),
+    ("@", 2, zpoint(1, 1)),
+    ("@", 2, zpoint(2, 0)),
+]
+
+
+def test_taylor_gap_gzxx_at_degree_3():
+    x = dict(zip(GZXX_POINTS, [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1), Fraction(3, 2)]))
+    assert taylor_gap(parse("g (z x x)"), x, STAR, 3, GZXX_CTX, Caps(k_max=3)) == (Fraction(7, 2), Fraction(7, 2))
+
+
+@settings(max_examples=8, deadline=None)
+@given(hst.lists(hst.one_of(hst.fractions(min_value=0, max_value=3, max_denominator=4), hst.just(INF)),
+                 min_size=len(GZXX_POINTS), max_size=len(GZXX_POINTS)))
+def test_taylor_gap_gzxx_property_up_to_degree_3(values):
+    # the Taylor formula: direct <= expanded at every degree cap, and the
+    # expansion does not increase as the cap grows
+    x = dict(zip(GZXX_POINTS, values))
+    gaps = [taylor_gap(parse("g (z x x)"), x, STAR, d, GZXX_CTX, Caps(k_max=3)) for d in (1, 2, 3)]
+    assert len({direct for direct, _ in gaps}) == 1
+    assert all(direct <= expanded for direct, expanded in gaps)
+    assert gaps[0][1] >= gaps[1][1] >= gaps[2][1]
 
 
 # ----------------------------------------------------------------- Lipschitz
